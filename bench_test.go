@@ -110,7 +110,7 @@ func benchAll(b *testing.B, parallel int) {
 	}
 }
 
-// requireParallelHW skips pool- and shard-parallelism benchmarks on a
+// requireParallelHW skips worker-pool benchmarks on a
 // single-CPU box. With GOMAXPROCS=1 the worker pool degenerates to the
 // serial engine and a "parallel" benchmark records serial numbers — plus
 // goroutine-scheduling overhead — under a parallel name. That is exactly
@@ -141,22 +141,6 @@ func BenchmarkFig8Parallel(b *testing.B) {
 	requireParallelHW(b)
 	for i := 0; i < b.N; i++ {
 		h := harness.New(harness.Options{Ops: 80, Seed: 1, Parallel: 0})
-		if _, err := h.Experiment("fig8"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig8Shards8 regenerates the headline figure with every
-// simulation on a sharded engine (-shards=8; machine.EffectiveShards
-// clamps to the CPU|MCs two-domain map) and the pool pinned serial, so the
-// ratio against BenchmarkFig8 isolates intra-run sharding. It needs real
-// cores for the domains to overlap — on one CPU the shard workers just
-// take turns at the barrier.
-func BenchmarkFig8Shards8(b *testing.B) {
-	requireParallelHW(b)
-	for i := 0; i < b.N; i++ {
-		h := harness.New(harness.Options{Ops: 80, Seed: 1, Parallel: 1, Shards: 8})
 		if _, err := h.Experiment("fig8"); err != nil {
 			b.Fatal(err)
 		}

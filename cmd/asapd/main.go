@@ -51,6 +51,12 @@ import (
 	"asap/internal/server"
 )
 
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers, so a slow or stalled client cannot hold a connection open
+// indefinitely. Bodies are small JSON specs and responses may stream
+// (SSE), so only the header phase is bounded.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "listen address")
@@ -84,7 +90,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	hs := &http.Server{Addr: *addr, Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 

@@ -56,7 +56,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		perf     = fs.Bool("perf", false, "report wall time per experiment and simulated cycles/sec to stderr")
 		profile  = fs.String("profile", "", "write pprof profiles (cpu.pprof, heap.pprof) into this directory")
 		tracedir = fs.String("tracedir", "", "capture a Chrome trace JSON + timeline CSV per simulation into this directory")
-		shards   = fs.Int("shards", 1, "timing domains per simulation (1 = serial engine; >1 shards each machine, identical tables)")
 	)
 	if err := fs.Parse(argv); err != nil {
 		return 2
@@ -90,11 +89,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		}
 	}()
 
-	if *shards > 1 && *tracedir != "" {
-		fmt.Fprintln(stderr, "asapfig: -tracedir requires the serial engine (-shards=1)")
-		return 2
-	}
-	h := harness.New(harness.Options{Ops: *ops, Seed: *seed, Parallel: *parallel, TraceDir: *tracedir, Shards: *shards})
+	h := harness.New(harness.Options{Ops: *ops, Seed: *seed, Parallel: *parallel, TraceDir: *tracedir})
 	start := time.Now()
 	var (
 		tbs   []*harness.Table

@@ -18,7 +18,6 @@
 package checkpoint
 
 import (
-	"fmt"
 	"reflect"
 	"unsafe"
 
@@ -41,14 +40,12 @@ type Checkpoint struct {
 }
 
 // Capture snapshots m's full state at the current cycle. The machine must
-// be serial (sharded machines span goroutines) and not mid-dispatch: call
-// between Advance boundaries. Attached observability sinks (tracer,
-// timeline, progress) are deliberately not rolled back by a later Fork —
-// they are append-only history, not simulation state.
+// not be mid-dispatch: call between Advance boundaries. Attached
+// observability sinks (tracer, timeline, progress) are deliberately not
+// rolled back by a later Fork — they are append-only history, not
+// simulation state. Every machine can be captured; the error result is
+// always nil and stays for existing callers.
 func Capture(m *machine.Machine) (*Checkpoint, error) {
-	if m.Sharded() {
-		return nil, fmt.Errorf("checkpoint: sharded machines cannot be captured (build with shards=1)")
-	}
 	c := &Checkpoint{m: m, cycle: m.Eng.Now()}
 	c.w.seen = make(map[seenKey]struct{}, 256)
 	c.w.walkRegion(unsafe.Pointer(m), reflect.TypeOf(*m))

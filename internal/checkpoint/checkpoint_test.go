@@ -120,21 +120,3 @@ func compare(t *testing.T, phase string, want, got runSummary) {
 			phase, want.PMWrites, want.PMReads, got.PMWrites, got.PMReads)
 	}
 }
-
-// TestCaptureRejectsSharded pins the serial-only contract.
-func TestCaptureRejectsSharded(t *testing.T) {
-	tr, err := workload.Generate("cceh", workload.Params{Threads: 4, OpsPerThread: 40, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := machine.NewSharded(config.Default(), model.NameASAPEP, tr, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !m.Sharded() {
-		t.Skip("host clamps to serial")
-	}
-	if _, err := Capture(m); err == nil {
-		t.Fatal("Capture accepted a sharded machine")
-	}
-}

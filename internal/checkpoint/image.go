@@ -29,7 +29,7 @@ package checkpoint
 //     the fresh machine's function. Save co-traverses a pristine machine
 //     built from the same recipe and refuses any func value construction
 //     does not supply — a stored continuation cannot be rebuilt.
-//   - Interfaces hold long-lived components (model, controllers, link):
+//   - Interfaces hold long-lived components (model, controllers):
 //     def/ref over their pointees plus a dynamic type name check.
 //   - The engine must be quiescent (sim.Engine.Quiesce): typed events
 //     serialize by canonical receiver index, closure events cannot.
@@ -613,7 +613,7 @@ func (d *imgDecoder) defTarget(id uint64, v reflect.Value, t reflect.Type) refle
 }
 
 // encIface handles interface-typed state: long-lived components referenced
-// through interfaces (model, controllers, link) encode as def/ref over
+// through interfaces (model, controllers) encode as def/ref over
 // their pointees with a dynamic-type check; non-pointer boxed values are
 // immutable through the interface and keep the fresh machine's copy.
 func (e *imgEncoder) encIface(ptr, pr unsafe.Pointer, t reflect.Type) {
@@ -948,7 +948,7 @@ var machineType = reflect.TypeOf(machine.Machine{})
 
 // --- Save / Load ---
 
-// Save serializes m into a checkpoint image. The machine must be serial,
+// Save serializes m into a checkpoint image. The machine must be
 // unobserved (no tracer/timeline/progress attached), and quiescent: no
 // closure-form events in flight (sim.Engine.Quiesce). Crash campaigns and
 // warm-started sweeps use the in-memory Capture/Fork; Save is the
@@ -964,9 +964,6 @@ func Save(m *machine.Machine) (img []byte, err error) {
 			img, err = nil, fmt.Errorf("checkpoint: save panicked: %v", r)
 		}
 	}()
-	if m.Sharded() {
-		return nil, fmt.Errorf("checkpoint: cannot save a sharded machine (serial engines only)")
-	}
 	if m.HasObservers() {
 		return nil, fmt.Errorf("checkpoint: cannot save an observed machine (detach tracer/timeline/progress first)")
 	}
@@ -1363,7 +1360,7 @@ func scanQuiescent(m, pristine *machine.Machine) error {
 // cycle. Non-quiescence is the only error it retries; each rejected cycle
 // costs a func-pruned scan, not an encode attempt.
 func SaveNextQuiescent(m *machine.Machine, maxAhead uint64) ([]byte, uint64, error) {
-	if m.Sharded() || m.HasObservers() || m.Trace() == nil {
+	if m.HasObservers() || m.Trace() == nil {
 		_, err := Save(m) // produce the precise gating error
 		return nil, 0, err
 	}

@@ -2,10 +2,12 @@ package checkpoint
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"asap/internal/config"
@@ -143,6 +145,17 @@ func TestImageRejectsBadInput(t *testing.T) {
 			t.Fatalf("corrupted image (byte %d flipped) loaded", off)
 		}
 	}
+	// An image from a build with a different schema: flip one fingerprint
+	// byte and re-seal the digest, so the integrity check passes and the
+	// fingerprint check is what must refuse it.
+	stale := append([]byte(nil), img...)
+	payload := len(imageMagic) + 1 + sha256.Size // magic, version 1, digest
+	stale[payload] ^= 0x01
+	sum := sha256.Sum256(stale[payload:])
+	copy(stale[payload-sha256.Size:], sum[:])
+	if _, err := Load(stale); err == nil || !strings.Contains(err.Error(), "schema fingerprint mismatch") {
+		t.Fatalf("stale-schema image: err = %v, want schema fingerprint mismatch", err)
+	}
 }
 
 // TestImageRejectsUnquiescent pins the gating contract for closure-driven
@@ -173,11 +186,15 @@ func TestImageRejectsUnquiescent(t *testing.T) {
 }
 
 // goldenImagePath is the committed checkpoint image: asap_ep on the cceh
-// workload, saved at cycle 400. CI's golden job loads it and reruns it.
+// workload, advanced to cycle 400, where SaveNextQuiescent starts its
+// search; the image is captured at the first quiescent cycle after it,
+// goldenImageCycle. TestGoldenImage loads it and reruns it.
 func goldenImagePath(t *testing.T) string {
 	t.Helper()
 	return filepath.Join("..", "..", "testdata", "golden", "checkpoint_asap_ep_cceh.ckpt")
 }
+
+const goldenImageCycle = 864
 
 func goldenMachine(t *testing.T) *machine.Machine {
 	t.Helper()
@@ -197,6 +214,9 @@ func TestGoldenImage(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("golden image captured at cycle %d (%d bytes)", at, len(img))
+	if at != goldenImageCycle {
+		t.Fatalf("golden image captured at cycle %d, want %d: the quiescence search landed elsewhere, so the event stream changed", at, goldenImageCycle)
+	}
 	path := goldenImagePath(t)
 	if *updateGolden {
 		if err := os.WriteFile(path, img, 0o644); err != nil {

@@ -43,7 +43,6 @@ import (
 
 	"asap/internal/mem"
 	"asap/internal/obs"
-	"asap/internal/sim"
 	"asap/internal/trace"
 )
 
@@ -103,15 +102,13 @@ type walker struct {
 // rows, progress snapshots) that describes the run so far; rolling them back
 // would falsify it, and nothing in the simulation reads them, so the walker
 // restores the *references* (bitwise, via the enclosing region) but never
-// descends into the objects. sim.Cluster owns goroutines and channels and is
-// nil on the serial machines checkpointing supports. []trace.Op is the
+// descends into the objects. []trace.Op is the
 // replayed program: immutable by contract, shared between machine and trace,
 // and far too large to copy per capture.
 var (
 	tracerType   = reflect.TypeOf((*obs.Tracer)(nil)).Elem()
 	progressType = reflect.TypeOf((*obs.Progress)(nil))
 	timelineType = reflect.TypeOf((*obs.Timeline)(nil))
-	clusterType  = reflect.TypeOf((*sim.Cluster)(nil))
 	opSliceType  = reflect.TypeOf([]trace.Op(nil))
 
 	lineTokenMapType = reflect.TypeOf(map[mem.Line]mem.Token(nil))
@@ -120,7 +117,7 @@ var (
 )
 
 func skipType(t reflect.Type) bool {
-	return t == tracerType || t == progressType || t == timelineType || t == clusterType
+	return t == tracerType || t == progressType || t == timelineType
 }
 
 // podCache memoizes isPOD per type; shared by concurrent captures.

@@ -394,7 +394,7 @@ func (h *Harness) planFig13() []prefetchJob {
 	for _, th := range []int{1, 2, 4} {
 		p := h.fig13Params(th)
 		for _, mn := range []string{model.NameBaseline, model.NameHOPSRP, model.NameASAPRP} {
-			keys = append(keys, h.jobParams(h.cfgFor(th), p, "bandwidth", mn))
+			keys = append(keys, jobParams(h.cfgFor(th), p, "bandwidth", mn))
 		}
 	}
 	return jobs(keys...)

@@ -110,17 +110,6 @@ type Options struct {
 	// service (asapd) wants the opposite — errors stay cached under
 	// their own spec, and unrelated requests keep working.
 	KeepGoing bool
-	// Shards requests a sharded (multi-domain) simulation engine for every
-	// run the harness builds: 0 or 1 selects the serial engine, larger
-	// values split each machine across timing domains (see
-	// machine.NewSharded; the effective count may be clamped). Sharded runs
-	// reproduce serial results exactly, so tables are identical at any
-	// setting — the differential suite in package machine and the
-	// golden-table test here enforce that. Runs requested through RunSpec
-	// carry their own Shards field and are unaffected by this option.
-	// Trace capture requires the serial engine: sharded leaders skip
-	// artifact writes (see engine.instrument).
-	Shards int
 	// Observe, when non-nil, is invoked on each leader simulation's
 	// machine after construction and before Run, so callers can attach
 	// observability sinks (asapd attaches an obs.Gauge for progress
@@ -198,22 +187,18 @@ func (h *Harness) cfgFor(threads int) config.Config {
 // job builds the run spec for the standard configuration: `threads`
 // threads on a machine with max(threads, 4) cores and 2 MCs.
 func (h *Harness) job(wl, mdl string, threads int) runspec.RunSpec {
-	return h.jobParams(h.cfgFor(threads), h.params(threads), wl, mdl)
+	return runspec.New(wl, mdl, h.params(threads), h.cfgFor(threads))
 }
 
 // jobCfg is job with an explicit machine configuration (ablation sweeps).
 func (h *Harness) jobCfg(cfg config.Config, wl, mdl string, threads int) runspec.RunSpec {
-	return h.jobParams(cfg, h.params(threads), wl, mdl)
+	return runspec.New(wl, mdl, h.params(threads), cfg)
 }
 
-// jobParams is job with explicit machine configuration and workload
-// parameters (bandwidth and strand traces). Every harness-built spec
-// passes through here, so the Shards option lands on all of them.
-func (h *Harness) jobParams(cfg config.Config, p workload.Params, wl, mdl string) runspec.RunSpec {
-	s := runspec.New(wl, mdl, p, cfg)
-	s.Shards = h.opts.Shards
-	s.Normalize()
-	return s
+// jobParams is job with explicit workload parameters too (bandwidth and
+// strand traces).
+func jobParams(cfg config.Config, p workload.Params, wl, mdl string) runspec.RunSpec {
+	return runspec.New(wl, mdl, p, cfg)
 }
 
 func (h *Harness) traceFor(wl string, threads int) (*trace.Trace, error) {
@@ -234,7 +219,7 @@ func (h *Harness) RunCfg(cfg config.Config, wl, mdl string, threads int) (machin
 // RunParams is Run with explicit machine configuration and workload
 // parameters (the bandwidth micro and strand-annotated traces).
 func (h *Harness) RunParams(cfg config.Config, p workload.Params, wl, mdl string) (machine.Result, error) {
-	return h.eng.run(h.jobParams(cfg, p, wl, mdl))
+	return h.eng.run(jobParams(cfg, p, wl, mdl))
 }
 
 // RunMachine builds and runs a machine, returning it for inspection (used

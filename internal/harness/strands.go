@@ -70,7 +70,7 @@ func (h *Harness) planAblStrands() []prefetchJob {
 	var keys []runspec.RunSpec
 	for _, wl := range strandWorkloads {
 		for _, mn := range strandModels {
-			keys = append(keys, h.jobParams(h.cfgFor(4), h.strandParams(), wl, mn))
+			keys = append(keys, jobParams(h.cfgFor(4), h.strandParams(), wl, mn))
 		}
 	}
 	return jobs(keys...)

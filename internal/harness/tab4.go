@@ -147,8 +147,8 @@ func (h *Harness) planAblNVMBW() []prefetchJob {
 		for _, gapNS := range ablNVMBWGaps {
 			cfg := h.nvmBWCfg(th, gapNS)
 			keys = append(keys,
-				h.jobParams(cfg, p, "bandwidth", model.NameHOPSRP),
-				h.jobParams(cfg, p, "bandwidth", model.NameASAPRP))
+				jobParams(cfg, p, "bandwidth", model.NameHOPSRP),
+				jobParams(cfg, p, "bandwidth", model.NameASAPRP))
 		}
 	}
 	return jobs(keys...)

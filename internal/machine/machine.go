@@ -6,7 +6,6 @@ package machine
 
 import (
 	"fmt"
-	"os"
 
 	"asap/internal/cache"
 	"asap/internal/config"
@@ -37,16 +36,6 @@ const (
 )
 
 // Machine is one runnable system instance. Build with New, run with Run.
-//
-// On a sharded machine the cores, caches, locks and the model all run on
-// the CPU timing domain (domain 0); domaincheck's //asap:domain rule keeps
-// this event domain from calling memory-controller methods synchronously —
-// every interaction goes through the Link. (Reads of MC sub-objects in
-// serial-gated branches, e.g. the demand-fill NVM read, stay legal: the
-// rule polices component method calls, the cluster==nil gates police the
-// rest at run time.)
-//
-//asap:domain cpu
 type Machine struct {
 	Eng    *sim.Engine
 	Cfg    config.Config
@@ -78,18 +67,6 @@ type Machine struct {
 	// tr is the trace this machine replays, kept so a checkpoint image can
 	// embed the full run recipe (config, model, trace) next to the state.
 	tr *trace.Trace
-
-	// Sharded-run state (nil/empty on serial machines). cluster owns the
-	// per-domain engines: domain 0 (Eng) hosts the cores, hierarchy, locks,
-	// WBBs, and the model; domains 1..N-1 each host a subset of the memory
-	// controllers. link is the cross-domain message fabric (a serial
-	// passthrough when cluster is nil). mcSts are the MC domains' private
-	// stat sets, merged into St once after the run — controllers must not
-	// write the CPU domain's set concurrently.
-	cluster *sim.Cluster
-	link    *persist.Link
-	mcSts   []*stats.Set
-	merged  bool
 
 	// wbbPreds caches per-core ReleaseIf predicates so the sampler does not
 	// close over the loop variable every interval.
@@ -149,89 +126,11 @@ type lockState struct {
 // New builds a machine running the named model over the trace. The trace
 // may use at most cfg.Cores threads.
 func New(cfg config.Config, modelName string, tr *trace.Trace) (*Machine, error) {
-	return NewSharded(cfg, modelName, tr, 1)
-}
-
-// Lookahead is the conservative window width of a sharded machine: the
-// minimum modeled latency of any cross-domain interaction. Every CPU↔MC
-// message crosses the Link at FlushLat (flush deliveries) or MsgLat
-// (commits, replies, demand-read and eviction-classify accounting), so
-// the window is their minimum and every send made inside a window is
-// stamped at or beyond the next barrier.
-func Lookahead(cfg config.Config) sim.Cycles {
-	if cfg.FlushLat < cfg.MsgLat {
-		return cfg.FlushLat
-	}
-	return cfg.MsgLat
-}
-
-// EffectiveShards reports how many timing domains a machine built with
-// NewSharded(cfg, modelName, tr, shards) actually runs. A result of 1
-// means the serial engine.
-//
-// The map is CPU | MCs: domain 0 hosts the cores, caches, locks and the
-// model (they share one LLC and directory and cannot split), domain 1
-// hosts every memory controller. More MC domains would dispatch — but
-// not reproduce serial results: result-identity rests on the watermark
-// merge (sim.Engine.ArriveOp), which places each receiver's arrivals
-// exactly where the serial engine would have, and that placement is only
-// total when a receiver's same-cycle arrivals come from one sending
-// domain. Split the MCs and two controllers' same-cycle replies reach
-// the CPU from different domains; their serial order is a global
-// schedule sequence no parallel execution can reconstruct (measured: a
-// few-cycle result drift on the ASAP models). So requests above 2 clamp
-// to 2, and models that require synchronous controller access
-// (model.Shardable) collapse to 1.
-func EffectiveShards(cfg config.Config, modelName string, shards int) int {
-	if shards < 2 || !model.Shardable(modelName) {
-		return 1
-	}
-	if os.Getenv("ASAP_DET") == "1" {
-		return 1 // global kill switch: force the byte-identical serial engine
-	}
-	return 2
-}
-
-// Sharded reports whether the machine runs on a multi-domain cluster
-// (EffectiveShards > 1). Tracing, timelines and crash injection are
-// unavailable on sharded machines; callers gate on this.
-func (m *Machine) Sharded() bool { return m.cluster != nil }
-
-// Trace returns the trace this machine replays. Machines only read it, and
-// checkpoint images embed it so a restored machine replays the same ops.
-func (m *Machine) Trace() *trace.Trace { return m.tr }
-
-// HasObservers reports whether any observability sink (tracer, timeline,
-// progress gauge) is attached. Checkpoint images exclude observer history —
-// rolling it back would falsify the record of the run so far — so saving an
-// observed machine is refused rather than silently dropping its sinks.
-func (m *Machine) HasObservers() bool {
-	return m.trc != nil || m.timeline != nil || m.progress != nil
-}
-
-// NewSharded builds a machine split across shards timing domains (clamped
-// by EffectiveShards; 0 or 1 builds the ordinary serial machine, which is
-// byte-identical to New). Parallel runs dispatch the same events with the
-// same simulated timestamps as serial ones and produce the same results
-// (pinned by TestShardedDifferential); only the interleaving of same-cycle
-// work across domains differs. Tracing, timelines, and crash injection
-// require the serial engine.
-func NewSharded(cfg config.Config, modelName string, tr *trace.Trace, shards int) (*Machine, error) {
 	cfg.Validate()
 	if tr.NumThreads() > cfg.Cores {
 		return nil, fmt.Errorf("machine: trace has %d threads but config has %d cores", tr.NumThreads(), cfg.Cores)
 	}
-	eff := EffectiveShards(cfg, modelName, shards)
-	var (
-		eng     *sim.Engine
-		cluster *sim.Cluster
-	)
-	if eff > 1 {
-		cluster = sim.NewCluster(eff, Lookahead(cfg))
-		eng = cluster.Domain(0)
-	} else {
-		eng = sim.NewEngine()
-	}
+	eng := sim.NewEngine()
 	st := stats.New()
 	m := &Machine{
 		Eng:    eng,
@@ -251,29 +150,11 @@ func NewSharded(cfg config.Config, modelName string, tr *trace.Trace, shards int
 		cCyclesBlocked:       st.Counter(kCyclesBlocked),
 		cSampledCycles:       st.Counter(kCoreSampledCycles),
 	}
-	m.cluster = cluster
 	m.tr = tr
 	spec := model.Speculative(modelName)
 	m.MCs = make([]*persist.MC, cfg.MCs)
-	if cluster != nil {
-		// Every controller lives on domain 1 (see EffectiveShards), with
-		// a private stat set merged into St after the run.
-		m.mcSts = make([]*stats.Set, eff)
-		mcDomain := make([]int, cfg.MCs)
-		for i := range m.MCs {
-			d := 1 + i%(eff-1)
-			mcDomain[i] = d
-			if m.mcSts[d] == nil {
-				m.mcSts[d] = stats.New()
-			}
-			m.MCs[i] = persist.NewMC(i, cluster.Domain(d), cfg, spec, m.mcSts[d])
-		}
-		m.link = persist.NewCrossLink(cluster, cfg, m.MCs, mcDomain)
-	} else {
-		for i := range m.MCs {
-			m.MCs[i] = persist.NewMC(i, eng, cfg, spec, st)
-		}
-		m.link = persist.NewLink(eng, cfg, m.MCs)
+	for i := range m.MCs {
+		m.MCs[i] = persist.NewMC(i, eng, cfg, spec, st)
 	}
 	mdl, err := model.New(modelName, model.Env{
 		Eng:    eng,
@@ -283,7 +164,6 @@ func NewSharded(cfg config.Config, modelName string, tr *trace.Trace, shards int
 		Dir:    m.Hier.Directory(),
 		St:     st,
 		Ledger: m.Ledger,
-		Link:   m.link,
 	})
 	if err != nil {
 		return nil, err
@@ -307,23 +187,32 @@ func NewSharded(cfg config.Config, modelName string, tr *trace.Trace, shards int
 		i := i
 		m.wbbPreds[i] = func(l mem.Line) bool { return !m.Model.PBHasLine(i, l) }
 	}
-	if cluster == nil {
-		// Fix the engine's typed-event receiver table in construction order
-		// (machine, model, controllers, link) instead of first-schedule
-		// order. Dispatch is ordered by (when, seq) alone, so slot indices
-		// never affect results — but checkpoint images reference receivers
-		// by index, and a canonical order makes the table identical between
-		// the machine that saved an image and the machine restoring it.
-		eng.RegisterOp(m)
-		if op, ok := mdl.(sim.EventOp); ok {
-			eng.RegisterOp(op)
-		}
-		for _, mc := range m.MCs {
-			eng.RegisterOp(mc)
-		}
-		eng.RegisterOp(m.link)
+	// Fix the engine's typed-event receiver table in construction order
+	// (machine, model, controllers) instead of first-schedule order.
+	// Dispatch is ordered by (when, seq) alone, so slot indices never
+	// affect results — but checkpoint images reference receivers by index,
+	// and a canonical order makes the table identical between the machine
+	// that saved an image and the machine restoring it.
+	eng.RegisterOp(m)
+	if op, ok := mdl.(sim.EventOp); ok {
+		eng.RegisterOp(op)
+	}
+	for _, mc := range m.MCs {
+		eng.RegisterOp(mc)
 	}
 	return m, nil
+}
+
+// Trace returns the trace this machine replays. Machines only read it, and
+// checkpoint images embed it so a restored machine replays the same ops.
+func (m *Machine) Trace() *trace.Trace { return m.tr }
+
+// HasObservers reports whether any observability sink (tracer, timeline,
+// progress gauge) is attached. Checkpoint images exclude observer history —
+// rolling it back would falsify the record of the run so far — so saving an
+// observed machine is refused rather than silently dropping its sinks.
+func (m *Machine) HasObservers() bool {
+	return m.trc != nil || m.timeline != nil || m.progress != nil
 }
 
 // RunEvent dispatches the machine's typed events.
@@ -367,9 +256,6 @@ func (m *Machine) WBB(core int) *persist.WBB { return m.wbbs[core] }
 // an engine track counting event dispatches. Call before Run; tracing left
 // unattached costs one nil comparison per hook site.
 func (m *Machine) AttachTracer(tr obs.Tracer) {
-	if m.cluster != nil {
-		panic("machine: tracing requires the serial engine (build with shards=1)")
-	}
 	m.trc = tr
 	m.coreTracks = make([]obs.TrackID, len(m.cores))
 	for i := range m.cores {
@@ -429,9 +315,6 @@ func (m *Machine) publishProgress() {
 // recovery-table occupancy. Call before Run; the returned timeline is
 // filled during the run and serialized by the caller.
 func (m *Machine) EnableTimeline(interval sim.Cycles) *obs.Timeline {
-	if m.cluster != nil {
-		panic("machine: timelines require the serial engine (build with shards=1)")
-	}
 	_, m.tlETs = m.Model.(model.EpochTabled)
 	var cols []string
 	for i := range m.cores {
@@ -485,9 +368,6 @@ func (m *Machine) timelineTick() {
 // ScheduleCrash arranges a power failure at the given cycle: the ADR logic
 // runs (WPQ drain plus undo-record write-back) and the simulation halts.
 func (m *Machine) ScheduleCrash(at sim.Cycles) {
-	if m.cluster != nil {
-		panic("machine: crash injection requires the serial engine (build with shards=1)")
-	}
 	m.crashAt = at
 	//asaplint:ignore schedcheck one crash event per experiment, cold
 	m.Eng.At(at, func() {
@@ -539,24 +419,16 @@ func (m *Machine) Start() {
 // (0 = no limit). It returns the run summary.
 func (m *Machine) Run(limit sim.Cycles) Result {
 	m.Start()
-	if m.cluster != nil {
-		m.cluster.Run(limit)
-	} else {
-		m.Eng.Run(limit)
-	}
+	m.Eng.Run(limit)
 	return m.result()
 }
 
 // Advance runs the machine through cycle `to` and stops with the clock
 // exactly there: every event at or before `to` has fired, none after. It is
 // the incremental form of Run for checkpoint captures and forked crash
-// campaigns, and requires the serial engine (sharded machines advance only
-// in lookahead windows). Calling it with a cycle already in the past is a
+// campaigns. Calling it with a cycle already in the past is a
 // no-op beyond clock normalization.
 func (m *Machine) Advance(to sim.Cycles) {
-	if m.cluster != nil {
-		panic("machine: Advance requires the serial engine (build with shards=1)")
-	}
 	m.Start()
 	m.Eng.RunUntil(to)
 }
@@ -571,9 +443,6 @@ func (m *Machine) Advance(to sim.Cycles) {
 // without dedicating a heap slot from construction, which is what lets a
 // forked campaign decide the crash cycle after the prefix has already run.
 func (m *Machine) CrashNow(at sim.Cycles) {
-	if m.cluster != nil {
-		panic("machine: crash injection requires the serial engine (build with shards=1)")
-	}
 	if at == 0 {
 		panic("machine: crash at cycle 0 precedes all work")
 	}
@@ -591,29 +460,6 @@ func (m *Machine) CrashNow(at sim.Cycles) {
 }
 
 func (m *Machine) result() Result {
-	if m.cluster != nil && !m.merged {
-		// Fold the MC domains' private stat sets and eviction-classify
-		// counts into the CPU domain's set, once; the workers have joined,
-		// so the reads are quiescent.
-		m.merged = true
-		for _, st := range m.mcSts {
-			if st != nil {
-				m.St.Merge(st)
-			}
-		}
-		var delayed, dropped uint64
-		for _, mc := range m.MCs {
-			d, dr := mc.EvictionCounts()
-			delayed += d
-			dropped += dr
-		}
-		if delayed > 0 {
-			m.cLLCEvictionsDelayed.Add(delayed)
-		}
-		if dropped > 0 {
-			m.cPMLinesDropped.Add(dropped)
-		}
-	}
 	res := Result{
 		ModelName: m.Model.Name(),
 		Stats:     m.St,
@@ -724,14 +570,8 @@ func (m *Machine) access(core int, line mem.Line, write, acq bool) *cache.Access
 	res := m.Hier.Access(core, line, write, acq, m.Model.CurrentTS(core))
 	if res.Level == cache.LevelMem {
 		// Demand fill from the media: account the PM read (Figure 9's
-		// read traffic baseline against which undo reads add ~5%). On a
-		// sharded machine the controller's NVM belongs to another domain,
-		// so the accounting crosses the Link instead.
-		if m.cluster == nil {
-			m.MCs[m.IL.Home(line)].NVM.Read(line)
-		} else {
-			m.link.DemandRead(m.IL.Home(line), line)
-		}
+		// read traffic baseline against which undo reads add ~5%).
+		m.MCs[m.IL.Home(line)].NVM.Read(line)
 	}
 	if res.Conflict != nil {
 		m.Model.Conflict(core, res.Conflict)
@@ -754,15 +594,6 @@ func (m *Machine) access(core int, line mem.Line, write, acq bool) *cache.Access
 			} else {
 				m.cWbbFullStalls.Inc()
 			}
-			continue
-		}
-		if m.cluster != nil {
-			// The Bloom filter lives with its controller on another
-			// domain: the classification crosses the Link and the MC
-			// counts it (merged back in result). The filter is consulted
-			// MsgLat later than serial, so the delayed/dropped split can
-			// differ; the differential suite compares the pair's sum.
-			m.link.ClassifyEviction(m.IL.Home(ev), ev)
 			continue
 		}
 		mc := m.MCs[m.IL.Home(ev)]
@@ -876,15 +707,9 @@ func (m *Machine) sample() {
 	if m.trc != nil {
 		m.trc.Counter(m.engTrack, "events", int64(m.Eng.Dispatched()))
 	}
-	// Recovery-table occupancy lives with the controllers; on a sharded
-	// machine the sampler must not read another domain's state mid-run,
-	// so the rtOccupancy distribution is serial-only (it feeds Figure 12
-	// exploration, not the golden tables).
-	if m.cluster == nil {
-		for _, mc := range m.MCs {
-			if mc.RT != nil {
-				m.St.Observe("rtOccupancy", uint64(mc.RT.Occupancy()))
-			}
+	for _, mc := range m.MCs {
+		if mc.RT != nil {
+			m.St.Observe("rtOccupancy", uint64(mc.RT.Occupancy()))
 		}
 	}
 	// Lazily release parked write-back-buffer evictions whose persist

@@ -11,6 +11,16 @@ import (
 	"asap/internal/stats"
 )
 
+// Typed-event kinds dispatched through ASAP.RunEvent, covering the
+// per-write flusher hot path (kick and pace); the PB→MC sends and ET→MC
+// commit messages are the controllers' own events (MC.SendFlushOp and
+// MC.SendCommit).
+const (
+	asapEvKick = iota // flusher wake-up for core arg (clears flushScheduled)
+	asapEvPace        // next paced flush issue for core arg
+	asapEvCDR         // deliver a CDR; arg is the packed dependent EpochID
+)
+
 // ASAP implements the paper's design: per-core persist buffers flush writes
 // eagerly — possibly out of epoch order and before cross-thread dependencies
 // resolve — marking flushes from not-yet-safe epochs as early. The memory
@@ -19,20 +29,6 @@ import (
 // messages to the controllers that saw early flushes, then CDR messages to
 // dependent threads. A NACK (full recovery table) drops the buffer into
 // conservative flushing until the NACKed epoch commits (§V-D).
-// Typed-event kinds dispatched through ASAP.RunEvent, covering the
-// per-write flusher hot path (kick and pace); the PB→MC sends and ET→MC
-// commit messages travel through Env.Link instead.
-const (
-	asapEvKick = iota // flusher wake-up for core arg (clears flushScheduled)
-	asapEvPace        // next paced flush issue for core arg
-	asapEvCDR         // deliver a CDR; arg is the packed dependent EpochID
-)
-
-// ASAP runs on the CPU timing domain of a sharded machine: all controller
-// interaction (flush issue, commit broadcast, NACK retries) crosses the
-// Link, never a direct MC call — domaincheck enforces it.
-//
-//asap:domain cpu
 type ASAP struct {
 	env Env
 	hc  hotCounters
@@ -430,8 +426,8 @@ func (m *ASAP) flushOne(c *asapCore) {
 		Early: early,
 	}
 	// retried clears the MC's NACK Bloom filter entry on arrival, releasing
-	// any delayed LLC eviction (§V-F); the Link applies that at delivery.
-	m.env.Link.FlushOp(mcID, pkt, c, e.ID, retried)
+	// any delayed LLC eviction (§V-F).
+	m.env.MCs[mcID].SendFlushOp(pkt, c, e.ID, retried)
 	if c.pb.Inflight() < m.env.Cfg.PBMaxInflight {
 		m.env.Eng.AfterOp(flushIssuePace, m, asapEvPace, uint64(c.id))
 	}
@@ -505,12 +501,12 @@ func (m *ASAP) tryCommit(c *asapCore, ts uint64) {
 	epoch := persist.EpochID{Thread: c.id, TS: ts}
 	// Commit messages are issued in ascending controller order so the
 	// event sequence (and hence every downstream tie-break) is reproducible.
-	// Each rides the Link at MsgLat; the ACK comes back through CommitAck.
+	// Each arrives MsgLat later; the ACK comes back through CommitAck.
 	for id, mask := 0, ent.EarlyMCs; mask != 0; id, mask = id+1, mask>>1 {
 		if mask&1 == 0 {
 			continue
 		}
-		m.env.Link.CommitOp(id, epoch, m)
+		m.env.MCs[id].SendCommit(epoch, m)
 	}
 }
 

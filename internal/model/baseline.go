@@ -133,7 +133,7 @@ func (m *Baseline) issueFlushes(c *baseCore) {
 			Epoch: persist.EpochID{Thread: c.id, TS: c.ts},
 		}
 		//asaplint:ignore alloccheck closure-form flush reply; typed-event conversion of this model is tracked roadmap debt
-		m.env.Link.Flush(m.env.IL.Home(line), pkt, func(res persist.FlushResult) {
+		m.env.MCs[m.env.IL.Home(line)].SendFlush(pkt, func(res persist.FlushResult) {
 			if res != persist.FlushAck {
 				panic("baseline: controller NACKed a flush")
 			}

@@ -252,7 +252,7 @@ func (m *LBPP) flushOne(c *lbppCore) {
 	}
 	id := e.ID
 	//asaplint:ignore alloccheck closure-form flush reply; typed-event conversion of this legacy model is tracked roadmap debt
-	m.env.Link.Flush(m.env.IL.Home(e.Line), pkt, func(res persist.FlushResult) {
+	m.env.MCs[m.env.IL.Home(e.Line)].SendFlush(pkt, func(res persist.FlushResult) {
 		if res != persist.FlushAck {
 			panic("lbpp: controller NACKed a safe flush")
 		}

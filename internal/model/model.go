@@ -48,13 +48,6 @@ type Env struct {
 	Dir    *cache.Directory
 	St     *stats.Set
 	Ledger Ledger
-
-	// Link carries every model→controller message (flushes, commits) and
-	// the replies. On a serial machine it is a passthrough that reproduces
-	// the models' former event schedule exactly; on a sharded machine it is
-	// the cross-shard ring fabric. New defaults it to a serial link over
-	// Eng when left nil.
-	Link *persist.Link
 }
 
 // Model is one persistence architecture. Methods taking a done callback may
@@ -150,22 +143,10 @@ func Speculative(name string) bool {
 	return name == NameASAPEP || name == NameASAPRP
 }
 
-// Shardable reports whether the named model tolerates its memory
-// controllers living on separate timing domains (sharded machines). Every
-// controller interaction must then cross the Link with at least the
-// cluster lookahead of modeled latency. Vorpal cannot: its park/persist
-// decisions and periodic clock broadcasts touch the controllers
-// synchronously (persistNow calls Receive with zero latency at broadcast
-// ticks), so a sharded run of vorpal falls back to the serial engine.
-func Shardable(name string) bool { return name != NameVorpal }
-
 // New builds the named model.
 func New(name string, env Env) (Model, error) {
 	if env.Ledger == nil {
 		env.Ledger = NopLedger{}
-	}
-	if env.Link == nil {
-		env.Link = persist.NewLink(env.Eng, env.Cfg, env.MCs)
 	}
 	switch name {
 	case NameBaseline:

@@ -128,7 +128,7 @@ func (m *PMEMSpec) Store(core int, line mem.Line, token mem.Token, done func()) 
 
 	pkt := persist.FlushPacket{Line: line, Token: token, Epoch: persist.EpochID{Thread: core, TS: ts}}
 	//asaplint:ignore alloccheck closure-form flush reply; typed-event conversion of this legacy model is tracked roadmap debt
-	m.env.Link.Flush(mcID, pkt, func(persist.FlushResult) {
+	m.env.MCs[mcID].SendFlush(pkt, func(persist.FlushResult) {
 		ep.perMC[mcID]--
 		ep.pending--
 		m.retire(c)

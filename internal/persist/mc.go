@@ -20,6 +20,9 @@ type mcJob struct {
 	reply    func(FlushResult)
 	replier  FlushReplier
 	replyArg uint64
+	// retried marks a NACK-retried flush in transit (SendFlushOp): its
+	// arrival lifts the line's Bloom reservation.
+	retried bool
 
 	// commit fields. Exactly one of commitDone (legacy closure form) or
 	// commitAcker (typed form) is set.
@@ -28,8 +31,8 @@ type mcJob struct {
 	commitAcker CommitAcker
 }
 
-// CommitAcker receives the controller's commit ACK for an epoch submitted
-// via CommitOp — the typed analogue of Commit's done closure, letting the
+// CommitAcker receives the controller's commit ACK for an epoch sent via
+// SendCommit — the typed analogue of Commit's done closure, letting the
 // per-epoch commit path schedule without allocating.
 type CommitAcker interface {
 	CommitAck(e EpochID)
@@ -50,6 +53,8 @@ const (
 	mcEvXPRead           // XPBuffer read completes; arg carries the token
 	mcEvMediaRead        // NVM media read completes for mc.cur's line
 	mcEvDrain            // retire one WPQ entry to media
+	mcEvFlushIn          // the oldest in-flight flush arrives (FlushLat after its send)
+	mcEvCommitIn         // the oldest in-flight commit message arrives (MsgLat after its send)
 )
 
 // Continuation codes for insertWrite: what runs once the write is accepted.
@@ -81,15 +86,12 @@ type mcReply struct {
 // front-end: the job being served waits for a drain before inserting, and
 // jobs behind it queue up.
 //
-// All steady-state work is scheduled through the engine's typed-event form
-// with the controller itself as receiver, and the job/reply queues are
-// head-indexed rings, so serving traffic does not allocate.
-//
-// On a sharded machine every controller lives on the MC timing domain
-// (machine.EffectiveShards); domaincheck enforces that CPU-domain
-// components reach it only through the Link.
-//
-//asap:domain mc
+// Models reach the controller through its Send methods, which model the
+// on-chip trip: a flush arrives FlushLat after SendFlush/SendFlushOp, a
+// commit message MsgLat after SendCommit, and every reply travels back at
+// MsgLat. All steady-state work is scheduled through the engine's
+// typed-event form with the controller itself as receiver, and every queue
+// is a head-indexed fifo, so serving traffic does not allocate.
 type MC struct {
 	ID  int
 	eng *sim.Engine
@@ -101,13 +103,17 @@ type MC struct {
 	NVM   *mem.NVM
 	Bloom *CountingBloom
 
-	queue   []mcJob // pending jobs; qhead indexes the oldest
-	qhead   int
+	// In-flight messages from the persist path. All sends of one kind
+	// share one latency, so each fifo pops in send order exactly when its
+	// typed event fires.
+	flushIn  fifo[mcJob]
+	commitIn fifo[mcJob]
+
+	queue   fifo[mcJob] // jobs waiting for the front-end
 	serving bool
 	cur     mcJob // job in service (valid while serving)
 
-	replies []mcReply // in-flight MsgLat replies; rhead indexes the oldest
-	rhead   int
+	replies fifo[mcReply] // in-flight MsgLat replies
 
 	// commit replay progress (valid while serving a commit job)
 	delays   []*DelayRecord
@@ -121,15 +127,6 @@ type MC struct {
 	wpqWaitCont int
 
 	draining bool
-
-	// cross-shard routing, set only on sharded machines: replies leave
-	// through the link (which applies MsgLat across the ring) instead of
-	// the local reply queue, and LLC-eviction classifications arriving
-	// from the CPU domain are counted here and merged after the run.
-	cross       *Link
-	crossDomain int
-	evDelayed   uint64
-	evDropped   uint64
 
 	st *stats.Set
 	hc mcCounters
@@ -181,9 +178,37 @@ func (mc *MC) AttachTracer(tr obs.Tracer) {
 	}
 }
 
-// Receive accepts a flush packet. reply is invoked (after the on-chip
-// message latency) with ACK or NACK. Callers model the PB→MC flush latency
-// before calling Receive.
+// SendFlushOp sends a flush to the controller: it arrives FlushLat cycles
+// from now, and the ACK/NACK comes back through rp.FlushReply(arg, res).
+// retried marks a NACK-retried flush, which carries the newest value for
+// its line: its arrival lifts the Bloom reservation that protected the line
+// from LLC-eviction drops (§V-F).
+//
+//asap:hot flush issue: every persist-buffer drain goes through here
+func (mc *MC) SendFlushOp(pkt FlushPacket, rp FlushReplier, arg uint64, retried bool) {
+	mc.flushIn.push(mcJob{pkt: pkt, replier: rp, replyArg: arg, retried: retried})
+	mc.eng.AfterOp(mc.cfg.FlushLat, mc, mcEvFlushIn, 0)
+}
+
+// SendFlush is the closure-reply form of SendFlushOp, used by the non-ASAP
+// models.
+func (mc *MC) SendFlush(pkt FlushPacket, reply func(FlushResult)) {
+	mc.flushIn.push(mcJob{pkt: pkt, reply: reply})
+	mc.eng.AfterOp(mc.cfg.FlushLat, mc, mcEvFlushIn, 0)
+}
+
+// SendCommit sends an epoch-commit message to the controller: it arrives
+// MsgLat cycles from now, and the ACK comes back through acker.CommitAck.
+//
+//asap:hot commit issue: every epoch commit goes through here
+func (mc *MC) SendCommit(e EpochID, acker CommitAcker) {
+	mc.commitIn.push(mcJob{isCommit: true, epoch: e, commitAcker: acker})
+	mc.eng.AfterOp(mc.cfg.MsgLat, mc, mcEvCommitIn, 0)
+}
+
+// Receive accepts a flush packet now, with no PB→MC latency (the Send
+// methods model it). reply is invoked (after the on-chip message latency)
+// with ACK or NACK.
 func (mc *MC) Receive(pkt FlushPacket, reply func(FlushResult)) {
 	mc.enqueueFlush(mcJob{pkt: pkt, reply: reply})
 }
@@ -200,27 +225,20 @@ func (mc *MC) enqueueFlush(j mcJob) {
 	} else {
 		mc.hc.safeFlushes.Inc()
 	}
-	mc.queue = append(mc.queue, j) //asaplint:ignore alloccheck job queue reaches steady-state capacity, then appends reuse it
+	mc.queue.push(j)
 	mc.serve()
 }
 
-// Commit accepts an epoch-commit message from an epoch table; done is the
-// ACK, invoked after the table has been cleaned and any delay records
-// processed (§V-C).
+// Commit accepts an epoch-commit message now, with no message latency
+// (SendCommit models it); done is the ACK, invoked after the table has been
+// cleaned and any delay records processed (§V-C).
 func (mc *MC) Commit(e EpochID, done func()) {
-	mc.queue = append(mc.queue, mcJob{isCommit: true, epoch: e, commitDone: done})
-	mc.serve()
-}
-
-// CommitOp is the typed form of Commit: the ACK is delivered through
-// acker.CommitAck(e) instead of a per-commit closure.
-func (mc *MC) CommitOp(e EpochID, acker CommitAcker) {
-	mc.queue = append(mc.queue, mcJob{isCommit: true, epoch: e, commitAcker: acker}) //asaplint:ignore alloccheck job queue reaches steady-state capacity, then appends reuse it
+	mc.queue.push(mcJob{isCommit: true, epoch: e, commitDone: done})
 	mc.serve()
 }
 
 // QueueLen reports front-end jobs waiting to be served (for tests).
-func (mc *MC) QueueLen() int { return len(mc.queue) - mc.qhead }
+func (mc *MC) QueueLen() int { return mc.queue.len() }
 
 // Idle reports whether the controller has no queued work, no job in
 // service, and an empty WPQ.
@@ -229,17 +247,11 @@ func (mc *MC) Idle() bool {
 }
 
 func (mc *MC) serve() {
-	if mc.serving || mc.qhead == len(mc.queue) {
+	if mc.serving || mc.queue.len() == 0 {
 		return
 	}
 	mc.serving = true
-	mc.cur = mc.queue[mc.qhead]
-	mc.queue[mc.qhead] = mcJob{} // release the closures for collection
-	mc.qhead++
-	if mc.qhead == len(mc.queue) {
-		mc.queue = mc.queue[:0]
-		mc.qhead = 0
-	}
+	mc.cur = mc.queue.pop()
 	mc.eng.AfterOp(mcServeCost, mc, mcEvServe, 0)
 }
 
@@ -258,18 +270,10 @@ func (mc *MC) RunEvent(kind int, arg uint64) {
 			mc.processFlush()
 		}
 	case mcEvReply:
-		r := mc.replies[mc.rhead]
-		mc.replies[mc.rhead] = mcReply{}
-		mc.rhead++
-		if mc.rhead == len(mc.replies) {
-			mc.replies = mc.replies[:0]
-			mc.rhead = 0
-		}
+		r := mc.replies.pop()
 		switch {
 		case r.acker != nil:
-			// Serial path only: on a sharded machine sendReply routed this
-			// reply through the Link before it could reach the local queue.
-			r.acker.CommitAck(r.ackEpoch) //asaplint:ignore domaincheck serial engine delivery; sharded replies cross the ring in sendReply
+			r.acker.CommitAck(r.ackEpoch)
 		case r.commit != nil:
 			r.commit() //asaplint:ignore alloccheck legacy closure-form reply, used only by package tests; models use the typed repliers
 		case r.replier != nil:
@@ -286,6 +290,15 @@ func (mc *MC) RunEvent(kind int, arg uint64) {
 		mc.readDone(t)
 	case mcEvDrain:
 		mc.drainOne()
+	case mcEvFlushIn:
+		j := mc.flushIn.pop()
+		if j.retried && mc.Bloom != nil {
+			mc.Bloom.Remove(j.pkt.Line)
+		}
+		mc.enqueueFlush(j)
+	case mcEvCommitIn:
+		mc.queue.push(mc.commitIn.pop())
+		mc.serve()
 	default:
 		panic("persist: unknown MC event kind")
 	}
@@ -301,37 +314,9 @@ func (mc *MC) finishJob() {
 	mc.serve()
 }
 
-// setCrossLink points the controller's reply path at the sharded link.
-func (mc *MC) setCrossLink(l *Link, domain int) {
-	mc.cross = l
-	mc.crossDomain = domain
-}
-
-// classifyEviction counts a dropped persistent LLC eviction against the
-// Bloom filter — the sharded form of the machine's in-place check; the
-// machine folds the two counters into its stats after the run.
-func (mc *MC) classifyEviction(l mem.Line) {
-	if mc.Bloom != nil && mc.Bloom.MaybeContains(l) {
-		mc.evDelayed++
-	} else {
-		mc.evDropped++
-	}
-}
-
-// EvictionCounts reports the sharded-mode eviction classifications.
-func (mc *MC) EvictionCounts() (delayed, dropped uint64) {
-	return mc.evDelayed, mc.evDropped
-}
-
-// sendReply queues r for delivery MsgLat cycles from now. On a sharded
-// machine every reply targets the CPU domain, so the reply crosses the
-// link with the same MsgLat applied to the ring stamp instead.
+// sendReply queues r for delivery MsgLat cycles from now.
 func (mc *MC) sendReply(r mcReply) {
-	if mc.cross != nil {
-		mc.cross.replyFromMC(mc, r)
-		return
-	}
-	mc.replies = append(mc.replies, r) //asaplint:ignore alloccheck reply ring: head compaction keeps it at steady-state capacity
+	mc.replies.push(r)
 	mc.eng.AfterOp(mc.cfg.MsgLat, mc, mcEvReply, 0)
 }
 
@@ -623,3 +608,30 @@ var DebugLine mem.Line
 
 // DebugLineFrom converts a raw line number for test diagnostics.
 func DebugLineFrom(l uint64) mem.Line { return mem.Line(l) }
+
+// fifo is a head-indexed queue. Popped slots are zeroed so delivered
+// closures are collectable, and the backing array rewinds whenever the
+// queue drains, so a queue at steady-state capacity appends without
+// allocating.
+type fifo[T any] struct {
+	buf  []T
+	head int
+}
+
+func (f *fifo[T]) len() int { return len(f.buf) - f.head }
+
+func (f *fifo[T]) push(v T) {
+	f.buf = append(f.buf, v) //asaplint:ignore alloccheck queue reaches steady-state capacity, then appends reuse it
+}
+
+func (f *fifo[T]) pop() T {
+	v := f.buf[f.head]
+	var zero T
+	f.buf[f.head] = zero
+	f.head++
+	if f.head == len(f.buf) {
+		f.buf = f.buf[:0]
+		f.head = 0
+	}
+	return v
+}

@@ -237,3 +237,30 @@ func TestMCStaleDelayReplay(t *testing.T) {
 		t.Fatal("records left after both commits")
 	}
 }
+
+type replyLog []FlushResult
+
+func (l *replyLog) FlushReply(_ uint64, res FlushResult) { *l = append(*l, res) }
+
+// TestMCSendFlushArrival pins the PB→MC trip: a sent flush reaches the
+// controller FlushLat cycles later, and only a NACK-retried one lifts the
+// line's Bloom reservation, at that arrival (§V-F).
+func TestMCSendFlushArrival(t *testing.T) {
+	for _, retried := range []bool{false, true} {
+		mc, eng := newTestMC(true)
+		var replies replyLog
+		mc.Bloom.Add(7)
+		mc.SendFlushOp(FlushPacket{Line: 7, Token: 1, Epoch: e(0, 1)}, &replies, 0, retried)
+		eng.RunUntil(mc.cfg.FlushLat - 1)
+		if mc.QueueLen() != 0 || mc.serving || !mc.Bloom.MaybeContains(7) {
+			t.Fatalf("retried=%v: flush arrived before FlushLat", retried)
+		}
+		eng.Run(0)
+		if len(replies) != 1 || replies[0] != FlushAck {
+			t.Fatalf("retried=%v: replies %v, want one ACK", retried, replies)
+		}
+		if got := mc.Bloom.MaybeContains(7); got == retried {
+			t.Fatalf("retried=%v: Bloom still reserves the line = %v", retried, got)
+		}
+	}
+}

@@ -50,15 +50,11 @@ type RunSpec struct {
 	Params   workload.Params `json:"params"`
 	Config   config.Config   `json:"config"`
 
-	// Shards requests a sharded (multi-domain) engine for the run. Sharded
-	// runs reproduce the serial result exactly (the machine package's
-	// differential suite is the contract), so 0 and 1 both mean "serial"
-	// and are canonically identical: Normalize folds 1 into the zero value
-	// and omitempty keeps it out of the canonical bytes — every pre-existing
-	// content address is unchanged, and Schema stays at 1. Values above 1
-	// do participate in the hash: they select a different execution engine,
-	// and a store that wants to trust the equivalence may map such specs
-	// back itself.
+	// Shards is accepted and ignored, so clients written when the
+	// simulator had a sharded engine still parse. Every run is serial:
+	// Normalize folds any value to zero and omitempty keeps it out of the
+	// canonical bytes, so a spec carrying "shards" hashes to the same
+	// content address as the serial spec.
 	Shards int `json:"shards,omitempty"`
 }
 
@@ -89,9 +85,7 @@ func (s *RunSpec) Normalize() {
 	if s.Params.Threads > s.Config.Cores {
 		s.Config.Cores = s.Params.Threads
 	}
-	if s.Shards == 1 {
-		s.Shards = 0 // serial is the zero value; keeps the hash shard-free
-	}
+	s.Shards = 0
 }
 
 // Validate reports whether the spec is structurally runnable: current
@@ -112,8 +106,6 @@ func (s RunSpec) Validate() error {
 		return fmt.Errorf("runspec: Params.OpsPerThread must be positive")
 	case s.Params.Threads > s.Config.Cores:
 		return fmt.Errorf("runspec: %d threads exceed %d cores (normalize the spec)", s.Params.Threads, s.Config.Cores)
-	case s.Shards < 0:
-		return fmt.Errorf("runspec: Shards must be non-negative (0 or 1 = serial)")
 	}
 	return validateConfig(s.Config)
 }

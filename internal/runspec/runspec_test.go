@@ -123,67 +123,72 @@ func TestNormalization(t *testing.T) {
 	}
 }
 
-// TestShardsHashNeutrality: the shards field is canonically invisible for
-// serial runs — 0 (elided) and 1 (normalized to 0) produce byte-identical
-// canonical forms, so every content address computed before the field
-// existed is still valid. Only shards > 1 (a genuinely different engine)
-// participates in the hash.
-func TestShardsHashNeutrality(t *testing.T) {
-	base := defaultSpec()
-	canon, err := base.Canonical()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(canon), "shards") {
-		t.Fatalf("serial canonical form mentions shards: %s", canon)
-	}
+// shardsSpec is the golden spec as a pre-existing asapd client may still
+// send it, asking for the removed sharded engine.
+const shardsSpec = `{"workload": "cceh", "model": "asap_rp", "shards": 2,
+	"params": {"Seed": 1, "Threads": 4, "OpsPerThread": 600, "ValueSize": 64, "KeyRange": 4096}}`
 
-	one := defaultSpec()
-	one.Shards = 1
-	one.Normalize()
-	c1, err := one.Canonical()
+// FuzzParse: Parse takes outside bytes (asapd request bodies), so it must
+// never panic, and every spec it accepts must be a fixpoint — Normalize is
+// idempotent and Canonical → Parse → Hash reproduces the content address.
+// The seed corpus runs under plain `go test`; explore further with
+// `go test -fuzz FuzzParse ./internal/runspec`.
+func FuzzParse(f *testing.F) {
+	canon, err := defaultSpec().Canonical()
 	if err != nil {
-		t.Fatal(err)
+		f.Fatal(err)
 	}
-	if !bytes.Equal(canon, c1) {
-		t.Fatalf("Shards=1 changed the canonical bytes:\n%s\nvs\n%s", canon, c1)
+	// shards:N hashes like serial: the field still parses, and the spec
+	// lands on the serial spec's content address.
+	if s, err := Parse([]byte(shardsSpec)); err != nil || s.MustHash() != goldenHash {
+		f.Fatalf("shards spec: err = %v, hash = %s, want %s", err, s.MustHash(), goldenHash)
 	}
-	if one.MustHash() != goldenHash {
-		t.Fatalf("Shards=1 changed the content address: %s", one.MustHash())
+	for _, seed := range []string{
+		string(canon),
+		shardsSpec,
+		`{"workload": "cceh", "model": "asap_rp", "shards": -1, "params": {"Threads": 8, "OpsPerThread": 100}}`,
+		`{"schema": 1, "workload": "bandwidth", "model": "hops_ep", "params": {"Threads": 1, "OpsPerThread": 1}}`,
+		`{"workload": "cceh", "model": "asap_rp", "params": {"Threads": 1, "OpsPerThread": 1}, "config": {"Cores": 0}}`,
+		`{"workload": `,
+		`[]`,
+	} {
+		f.Add([]byte(seed))
 	}
-
-	two := defaultSpec()
-	two.Shards = 2
-	two.Normalize()
-	if two.MustHash() == goldenHash {
-		t.Fatal("Shards=2 does not participate in the hash")
-	}
-	c2, err := two.Canonical()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(c2), `"shards":2`) {
-		t.Fatalf("Shards=2 missing from canonical form: %s", c2)
-	}
-
-	// Parse accepts the field (it is not "unknown"), normalizes 1 back to
-	// the zero value, and rejects negatives.
-	s, err := Parse([]byte(`{"workload": "cceh", "model": "asap_rp", "shards": 1,
-		"params": {"Threads": 4, "OpsPerThread": 600, "KeyRange": 4096, "ValueSize": 64, "Seed": 1}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Shards != 0 {
-		t.Fatalf("parsed Shards = %d, want 0 after normalization", s.Shards)
-	}
-	if s.MustHash() != goldenHash {
-		t.Fatalf("parsed shards:1 spec hashed %s, want %s", s.MustHash(), goldenHash)
-	}
-	if _, err := Parse([]byte(`{"workload": "cceh", "model": "asap_rp", "shards": -2,
-		"params": {"Threads": 1, "OpsPerThread": 1}}`)); err == nil ||
-		!strings.Contains(err.Error(), "Shards") {
-		t.Fatalf("err = %v, want Shards complaint", err)
-	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := Parse(data)
+		if err != nil {
+			return
+		}
+		n := s
+		n.Normalize()
+		if n != s {
+			t.Fatalf("Normalize not idempotent:\n%+v\nvs\n%+v", s, n)
+		}
+		h, err := s.Hash()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := s.Canonical()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(string(c), "shards") {
+			t.Fatalf("canonical form mentions shards: %s", c)
+		}
+		back, err := Parse(c)
+		if err != nil {
+			t.Fatalf("canonical form of an accepted spec rejected: %v\n%s", err, c)
+		}
+		if got := back.MustHash(); got != h {
+			t.Fatalf("Canonical → Parse → Hash = %s, want %s", got, h)
+		}
+		sharded := s
+		sharded.Shards = 2
+		sharded.Normalize()
+		if got := sharded.MustHash(); got != h {
+			t.Fatalf("shards:2 hashed %s, serial %s", got, h)
+		}
+	})
 }
 
 // TestParseRejects: unknown fields (typos must not select defaults

@@ -124,6 +124,21 @@ func TestSubmitTwiceByteIdentical(t *testing.T) {
 	if !bytes.Equal(body1, body3) {
 		t.Fatal("reordered spec got different bytes")
 	}
+
+	// A client still asking for the removed sharded engine gets the serial
+	// run: "shards" parses and is folded away before hashing.
+	loose["shards"] = 2
+	sharded, err := json.Marshal(loose)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp4, body4 := post(t, ts.URL+"/v1/runs", sharded)
+	if resp4.StatusCode != http.StatusOK || resp4.Header.Get("X-Asap-Cache") != "hit" {
+		t.Fatalf("shards:2 spec: status %d cache %q, want 200 hit", resp4.StatusCode, resp4.Header.Get("X-Asap-Cache"))
+	}
+	if !bytes.Equal(body1, body4) {
+		t.Fatal("shards:2 spec got different bytes")
+	}
 }
 
 // TestRestartServesFromStore proves persistence: a second server over the

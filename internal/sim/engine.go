@@ -41,22 +41,10 @@ type event struct {
 	when  Cycles
 	seq   uint64
 	arg   uint64
-	sub   uint64
 	kind  int32
 	opIdx int32 // index into Engine.ops; -1 for closure events
 	fnIdx int32 // index into Engine.fns (closure events only)
 }
-
-// localSub is the sub-order rank of locally scheduled events. Cross-shard
-// arrivals are merged into the heap with the seq watermark of their send
-// moment (see arriveOp): an arrival and a local event can therefore carry
-// the same (when, seq), and sub breaks that tie. Arrival ranks are built
-// from (source domain, drain order) and stay below localSub, so an arrival
-// sorts before the first local event scheduled after its send moment —
-// exactly where the serial engine would have dispatched it. In a serial
-// engine every event carries localSub and seq alone is already a total
-// order, so the extra comparison never fires.
-const localSub = 1 << 63
 
 // Engine is a single-threaded discrete-event simulator. Components schedule
 // callbacks at future cycles; Run dispatches them in time order. Engine is
@@ -92,21 +80,6 @@ type Engine struct {
 	// it captures) is collectable as soon as it has run.
 	fns    []func()
 	fnFree []int32
-
-	// marks is the seq watermark ring, maintained only when the engine is
-	// a shard of a Cluster (nil on serial engines, so the serial dispatch
-	// path is untouched). Each entry records "the clock advanced to cycle
-	// at seq count seq": every seq below it was assigned while now was
-	// below cycle. watermark() inverts that to place cross-shard arrivals
-	// into the serial total order by their send moment.
-	marks    []mark
-	markHead int
-}
-
-// mark records one clock advance; see Engine.marks.
-type mark struct {
-	cycle Cycles
-	seq   uint64
 }
 
 // NewEngine returns an engine with the clock at cycle zero.
@@ -132,7 +105,7 @@ func (e *Engine) At(when Cycles, fn func()) {
 		idx = int32(len(e.fns))
 		e.fns = append(e.fns, fn) //asaplint:ignore alloccheck free-list miss; bounded by peak in-flight closure events
 	}
-	e.push(event{when: when, seq: e.seq, opIdx: -1, fnIdx: idx, sub: localSub})
+	e.push(event{when: when, seq: e.seq, opIdx: -1, fnIdx: idx})
 	e.seq++
 }
 
@@ -149,7 +122,7 @@ func (e *Engine) ScheduleOp(when Cycles, op EventOp, kind int, arg uint64) {
 	if when < e.now {
 		panic("sim: event scheduled in the past")
 	}
-	e.push(event{when: when, seq: e.seq, opIdx: e.opIndex(op), kind: int32(kind), arg: arg, sub: localSub})
+	e.push(event{when: when, seq: e.seq, opIdx: e.opIndex(op), kind: int32(kind), arg: arg})
 	e.seq++
 }
 
@@ -303,16 +276,10 @@ func (e *Engine) dispatch() {
 	}
 }
 
-// less orders heap slots by (when, seq, sub). Locally scheduled events
-// never share a seq, so for a serial engine the sub comparison is dead
-// code on a branch that never executes; it exists to rank cross-shard
-// arrivals against the local events around their send moment.
+// less orders heap slots by (when, seq).
 func (e *Engine) less(i, j int) bool {
 	a, b := &e.events[i], &e.events[j]
-	if a.when != b.when {
-		return a.when < b.when
-	}
-	return a.seq < b.seq || (a.seq == b.seq && a.sub < b.sub)
+	return a.when < b.when || (a.when == b.when && a.seq < b.seq)
 }
 
 // push appends ev and restores the heap property by sifting it up.
