@@ -1,13 +1,24 @@
 package machine
 
 import (
+	"encoding/json"
+	"strconv"
 	"testing"
 
 	"asap/internal/config"
 	"asap/internal/model"
+	"asap/internal/runspec"
 	"asap/internal/stats"
 	"asap/internal/workload"
 )
+
+// The simulator once had an intra-run sharded engine, and RunSpecs still
+// carry a "shards" field so that clients written against it keep parsing.
+// Every run is serial now. The tests below hold that contract end to end:
+// a spec that asks for N shards normalizes to the serial spec, hashes to
+// its content address, and drives a run whose results match the serial
+// run exactly — on freshly built machines running side by side, so they
+// also catch state shared between machines.
 
 // diffParams keeps the differential matrix affordable: every workload ×
 // model × shard-count combination runs, so each single run is small.
@@ -15,65 +26,89 @@ func diffParams() workload.Params {
 	return workload.Params{Threads: 4, OpsPerThread: 80, KeyRange: 1024, ValueSize: 32, Seed: 7}
 }
 
-// runSharded executes one workload × model pair at the given shard count
-// and returns the result. shards == 1 is the serial reference engine.
-func runSharded(t *testing.T, wl, mdl string, shards int) Result {
+// shardedSpec builds the spec for one workload × model pair as a client
+// would send it with "shards": shards, and parses it the way asapd does.
+// shards == 0 is the serial spec.
+func shardedSpec(t *testing.T, wl, mdl string, shards int) runspec.RunSpec {
 	t.Helper()
-	tr, err := workload.Generate(wl, diffParams())
+	s := runspec.New(wl, mdl, diffParams(), config.Config{})
+	s.Shards = shards
+	data, err := json.Marshal(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewSharded(config.Default(), mdl, tr, shards)
+	parsed, err := runspec.Parse(data)
+	if err != nil {
+		t.Fatalf("%s/%s shards=%d: parse %s: %v", wl, mdl, shards, data, err)
+	}
+	if parsed.Shards != 0 {
+		t.Fatalf("%s/%s: Parse kept shards=%d, want 0", wl, mdl, parsed.Shards)
+	}
+	return parsed
+}
+
+// runSpec builds a fresh machine for the spec, runs it to completion and
+// returns the result.
+func runSpec(t *testing.T, s runspec.RunSpec) Result {
+	t.Helper()
+	tr, err := workload.Generate(s.Workload, s.Params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := New(s.Config, s.Model, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	res := m.Run(500_000_000)
 	if !m.allDone() {
-		t.Fatalf("%s/%s shards=%d did not finish (cycle %d, finished %d/%d)",
-			wl, mdl, shards, m.Eng.Now(), m.finished, len(m.cores))
+		t.Fatalf("%s/%s did not finish (cycle %d, finished %d/%d)",
+			s.Workload, s.Model, m.Eng.Now(), m.finished, len(m.cores))
 	}
 	return res
 }
 
-// counterSnapshot flattens a run's counters for comparison. The LLC
-// eviction classification (delayed behind the Bloom filter vs dropped)
-// is consulted MsgLat later on a sharded machine, so only the pair's sum
-// is shard-invariant; the snapshot folds the two into one key.
+// runSharded runs one workload × model pair from a spec carrying the given
+// shard count, after checking that the spec hashes like the serial one.
+func runSharded(t *testing.T, wl, mdl string, shards int) Result {
+	t.Helper()
+	s := shardedSpec(t, wl, mdl, shards)
+	if shards != 0 {
+		want := shardedSpec(t, wl, mdl, 0).MustHash()
+		if got := s.MustHash(); got != want {
+			t.Fatalf("%s/%s shards=%d hashes to %s, serial spec to %s", wl, mdl, shards, got, want)
+		}
+	}
+	return runSpec(t, s)
+}
+
+// counterSnapshot flattens a run's counters for comparison.
 func counterSnapshot(st *stats.Set) map[string]uint64 {
 	out := make(map[string]uint64)
 	for _, cv := range st.CounterValues() {
 		out[cv.Name] = cv.Value
 	}
-	evictions := out["llcEvictionsDelayed"] + out["pmLinesDropped"]
-	delete(out, "llcEvictionsDelayed")
-	delete(out, "pmLinesDropped")
-	if evictions > 0 {
-		out["evictionsClassified"] = evictions
-	}
 	return out
 }
 
-// distSnapshot flattens a run's distributions, dropping rtOccupancy: the
-// recovery tables live on MC domains, so the sampler only observes them
-// on the serial engine.
+// distSnapshot flattens a run's sampled distributions for comparison.
 func distSnapshot(st *stats.Set) map[string]stats.DistValue {
 	out := make(map[string]stats.DistValue)
 	for _, dv := range st.DistValues() {
-		if dv.Name == "rtOccupancy" {
-			continue
-		}
 		out[dv.Name] = dv
 	}
 	return out
 }
 
-// compareRuns asserts that a sharded run reproduced the serial result:
-// same execution time, same per-core finish times, same media traffic and
-// high-water marks, same counters, same distributions.
+// compareRuns asserts that a run from a "shards" spec reproduced the
+// serial result: same execution time, same per-core finish times, same
+// media traffic and high-water marks, same counters, same distributions.
 func compareRuns(t *testing.T, label string, serial, sharded Result) {
 	t.Helper()
 	if serial.Cycles != sharded.Cycles {
 		t.Errorf("%s: cycles diverged: serial %d, sharded %d", label, serial.Cycles, sharded.Cycles)
+	}
+	if len(serial.PerCore) != len(sharded.PerCore) {
+		t.Fatalf("%s: core count diverged: serial %d, sharded %d", label, len(serial.PerCore), len(sharded.PerCore))
 	}
 	for i := range serial.PerCore {
 		if serial.PerCore[i] != sharded.PerCore[i] {
@@ -108,22 +143,24 @@ func compareRuns(t *testing.T, label string, serial, sharded Result) {
 			t.Errorf("%s: dist %s diverged: serial %+v, sharded %+v", label, name, v, pv)
 		}
 	}
+	for name := range pd {
+		if _, ok := sd[name]; !ok {
+			t.Errorf("%s: dist %s sampled only by the sharded run", label, name)
+		}
+	}
 }
 
 // TestShardedSmoke pins one pair end to end before the full matrix runs.
 func TestShardedSmoke(t *testing.T) {
-	serial := runSharded(t, "cceh", model.NameASAPEP, 1)
+	serial := runSharded(t, "cceh", model.NameASAPEP, 0)
 	sharded := runSharded(t, "cceh", model.NameASAPEP, 4)
 	compareRuns(t, "cceh/asap_ep/4", serial, sharded)
 }
 
-// TestShardedDifferential is the tentpole contract: every workload ×
-// model pair, at 2, 4 and 8 requested shards, must reproduce the serial
-// engine's results exactly — execution time, per-core finish times, media
-// traffic, high-water marks, counters and sampled distributions. Models
-// that are not shardable (vorpal) fall back to the serial engine and
-// compare trivially; that fallback staying silent and correct is part of
-// the contract.
+// TestShardedDifferential runs every workload × model pair from specs
+// carrying 2, 4 and 8 shards and requires each to reproduce the serial
+// run exactly — execution time, per-core finish times, media traffic,
+// high-water marks, counters and sampled distributions.
 func TestShardedDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full workload × model × shards matrix")
@@ -133,14 +170,12 @@ func TestShardedDifferential(t *testing.T) {
 			wl, mdl := wl, mdl
 			t.Run(wl+"/"+mdl, func(t *testing.T) {
 				t.Parallel()
-				serial := runSharded(t, wl, mdl, 1)
+				serial := runSharded(t, wl, mdl, 0)
 				for _, shards := range []int{2, 4, 8} {
 					sharded := runSharded(t, wl, mdl, shards)
-					compareRuns(t, wl+"/"+mdl+"/"+itoa(shards), serial, sharded)
+					compareRuns(t, wl+"/"+mdl+"/"+strconv.Itoa(shards), serial, sharded)
 				}
 			})
 		}
 	}
 }
-
-func itoa(n int) string { return string(rune('0' + n)) }
