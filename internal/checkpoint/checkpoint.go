@@ -18,6 +18,7 @@
 package checkpoint
 
 import (
+	"fmt"
 	"reflect"
 	"unsafe"
 
@@ -43,9 +44,12 @@ type Checkpoint struct {
 // not be mid-dispatch: call between Advance boundaries. Attached
 // observability sinks (tracer, timeline, progress) are deliberately not
 // rolled back by a later Fork — they are append-only history, not
-// simulation state. Every machine can be captured; the error result is
-// always nil and stays for existing callers.
+// simulation state. A machine without a crash ledger (machine.NewUnchecked)
+// is refused: forks exist to be crash-checked, and Check needs the ledger.
 func Capture(m *machine.Machine) (*Checkpoint, error) {
+	if m.Ledger == nil {
+		return nil, fmt.Errorf("checkpoint: %w", machine.ErrNoLedger)
+	}
 	c := &Checkpoint{m: m, cycle: m.Eng.Now()}
 	c.w.seen = make(map[seenKey]struct{}, 256)
 	c.w.walkRegion(unsafe.Pointer(m), reflect.TypeOf(*m))

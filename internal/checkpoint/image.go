@@ -970,6 +970,11 @@ func Save(m *machine.Machine) (img []byte, err error) {
 	if m.Trace() == nil {
 		return nil, fmt.Errorf("checkpoint: machine has no trace to embed")
 	}
+	if m.Ledger == nil {
+		// The pristine twin below comes from machine.New and carries a
+		// ledger; the walk could not pair the two graphs.
+		return nil, fmt.Errorf("checkpoint: %w", machine.ErrNoLedger)
+	}
 	if qerr := m.Eng.Quiesce(); qerr != nil {
 		return nil, fmt.Errorf("%w: %v", ErrNotQuiescent, qerr)
 	}

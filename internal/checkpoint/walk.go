@@ -104,12 +104,16 @@ type walker struct {
 // restores the *references* (bitwise, via the enclosing region) but never
 // descends into the objects. []trace.Op is the
 // replayed program: immutable by contract, shared between machine and trace,
-// and far too large to copy per capture.
+// and far too large to copy per capture. The *trace.Trace holding it is
+// skipped by the walker for the same reason: machines replaying one trace
+// share it, and rewinding one machine must not write to it while another
+// runs.
 var (
 	tracerType   = reflect.TypeOf((*obs.Tracer)(nil)).Elem()
 	progressType = reflect.TypeOf((*obs.Progress)(nil))
 	timelineType = reflect.TypeOf((*obs.Timeline)(nil))
 	opSliceType  = reflect.TypeOf([]trace.Op(nil))
+	traceType    = reflect.TypeOf((*trace.Trace)(nil))
 
 	lineTokenMapType = reflect.TypeOf(map[mem.Line]mem.Token(nil))
 	lineBoolMapType  = reflect.TypeOf(map[mem.Line]bool(nil))
@@ -237,7 +241,7 @@ func (w *walker) walkInterior(ptr unsafe.Pointer, t reflect.Type) {
 			w.walkInterior(unsafe.Add(ptr, uintptr(i)*sz), et)
 		}
 	case reflect.Pointer:
-		if skipType(t) {
+		if skipType(t) || t == traceType {
 			return
 		}
 		p := *(*unsafe.Pointer)(ptr)

@@ -87,6 +87,10 @@ func (t *epochMemo) set(e persist.EpochID, v uint8) {
 func Check(m *machine.Machine) Report {
 	rep := Report{OK: true}
 	lg := m.Ledger
+	if lg == nil {
+		rep.fail("crash: %v", machine.ErrNoLedger)
+		return rep
+	}
 
 	// surviving(line) = token now in NVM at the line's home controller.
 	surviving := func(l mem.Line) mem.Token {

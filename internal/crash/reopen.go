@@ -25,6 +25,9 @@ import (
 // keep threads' data disjoint (as the pmds structures do for everything
 // except lock-protected shared lines).
 func RebuildImage(m *machine.Machine, h *pmds.Heap, size int) ([]byte, error) {
+	if m.Ledger == nil {
+		return nil, fmt.Errorf("crash: %w", machine.ErrNoLedger)
+	}
 	out := make([]byte, size)
 	var err error
 	m.Ledger.Lines(func(l mem.Line, _ []machine.WriteRec) {

@@ -58,14 +58,14 @@ func (h *Harness) AblRT() (*Table, error) {
 	return t, nil
 }
 
-func (h *Harness) planAblRT() []prefetchJob {
+func (h *Harness) planAblRT() []runspec.RunSpec {
 	var keys []runspec.RunSpec
 	for _, wl := range ablationWorkloads {
 		for _, sz := range ablStructSizes {
 			keys = append(keys, h.jobCfg(rtCfg(sz), wl, model.NameASAPRP, 4))
 		}
 	}
-	return jobs(keys...)
+	return keys
 }
 
 // pbCfg is the persist-buffer size sweep's machine configuration.
@@ -109,7 +109,7 @@ func (h *Harness) AblPB() (*Table, error) {
 	return t, nil
 }
 
-func (h *Harness) planAblPB() []prefetchJob {
+func (h *Harness) planAblPB() []runspec.RunSpec {
 	var keys []runspec.RunSpec
 	for _, wl := range ablationWorkloads {
 		for _, mdl := range []string{model.NameHOPSRP, model.NameASAPRP} {
@@ -118,7 +118,7 @@ func (h *Harness) planAblPB() []prefetchJob {
 			}
 		}
 	}
-	return jobs(keys...)
+	return keys
 }
 
 // noEagerCfg disables eager flushing (safe flushes only).
@@ -155,14 +155,14 @@ func (h *Harness) AblEager() (*Table, error) {
 	return t, nil
 }
 
-func (h *Harness) planAblEager() []prefetchJob {
+func (h *Harness) planAblEager() []runspec.RunSpec {
 	var keys []runspec.RunSpec
 	for _, wl := range Workloads() {
 		keys = append(keys,
 			h.job(wl, model.NameASAPRP, 4),
 			h.jobCfg(noEagerCfg(), wl, model.NameASAPRP, 4))
 	}
-	return jobs(keys...)
+	return keys
 }
 
 // ablXPBufSizes is the XPBuffer sweep (lines per MC).
@@ -205,14 +205,14 @@ func (h *Harness) AblXPBuf() (*Table, error) {
 	return t, nil
 }
 
-func (h *Harness) planAblXPBuf() []prefetchJob {
+func (h *Harness) planAblXPBuf() []runspec.RunSpec {
 	var keys []runspec.RunSpec
 	for _, wl := range ablationWorkloads {
 		for _, sz := range ablXPBufSizes {
 			keys = append(keys, h.jobCfg(xpBufCfg(sz), wl, model.NameASAPRP, 4))
 		}
 	}
-	return jobs(keys...)
+	return keys
 }
 
 // interleaveCfg sets the MC interleave granularity.
@@ -251,7 +251,7 @@ func (h *Harness) AblInterleave() (*Table, error) {
 	return t, nil
 }
 
-func (h *Harness) planAblInterleave() []prefetchJob {
+func (h *Harness) planAblInterleave() []runspec.RunSpec {
 	var keys []runspec.RunSpec
 	for _, wl := range ablationWorkloads {
 		for _, mdl := range []string{model.NameHOPSRP, model.NameASAPRP} {
@@ -260,7 +260,7 @@ func (h *Harness) planAblInterleave() []prefetchJob {
 				h.jobCfg(interleaveCfg(4096), wl, mdl, 4))
 		}
 	}
-	return jobs(keys...)
+	return keys
 }
 
 func init() {

@@ -41,11 +41,6 @@ type traceKey struct {
 	p  workload.Params
 }
 
-// machineKey caches a fully-run Machine (RunMachine callers need ledger
-// and engine state, not just the Result summary) under a distinct type so
-// it never collides with the Result cache for the same spec.
-type machineKey runspec.RunSpec
-
 // call is one singleflight computation: the first requester of a key
 // becomes the leader and computes; everyone else waits on ready.
 type call struct {
@@ -201,45 +196,18 @@ func (e *engine) run(k runspec.RunSpec) (machine.Result, error) {
 	return v.(machine.Result), nil
 }
 
-// machine executes the simulation for spec and caches the whole run
-// machine, for experiments that inspect ledger or engine state after the
-// run (Fig2). Cached machines are read-only once their run completes.
-func (e *engine) machine(k runspec.RunSpec) (*machine.Machine, error) {
-	v, err := e.once(machineKey(k), func() (any, error) {
-		return e.protect(k.String(), func() (any, error) {
-			m, err := e.build(k)
-			if err != nil {
-				return nil, err
-			}
-			flush := e.instrument(k, m)
-			e.runExecs.Add(1)
-			r := m.Run(0)
-			if r.Cycles == 0 {
-				return nil, fmt.Errorf("harness: %s produced zero cycles", k)
-			}
-			e.simCycles.Add(uint64(r.Cycles))
-			if err := flush(); err != nil {
-				return nil, err
-			}
-			return m, nil
-		})
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*machine.Machine), nil
-}
-
 // build assembles the machine for spec (trace generation is singleflighted
 // separately: runs of the same workload under different models share one
-// trace, which machines only read). The Observe hook fires here, before
-// Run, so callers can attach obs sinks — asapd attaches a progress gauge.
+// trace, which machines only read). Every harness run reads only its
+// Result, so the machine skips the crash ledger. The Observe hook fires
+// here, before Run, so callers can attach obs sinks — asapd attaches a
+// progress gauge.
 func (e *engine) build(k runspec.RunSpec) (*machine.Machine, error) {
 	tr, err := e.trace(traceKey{wl: k.Workload, p: k.Params})
 	if err != nil {
 		return nil, err
 	}
-	m, err := machine.New(k.Config, k.Model, tr)
+	m, err := machine.NewUnchecked(k.Config, k.Model, tr)
 	if err != nil {
 		return nil, fmt.Errorf("harness: %s: %w", k, err)
 	}
@@ -255,9 +223,9 @@ func (e *engine) execs() (traces, runs int64) {
 	return e.traceGens.Load(), e.runExecs.Load()
 }
 
-// artifactKey dedups trace-artifact writes: the Result cache and the
-// Machine cache may both execute the same spec, and the artifacts are
-// deterministic, so whichever leader finishes first writes the files.
+// artifactKey dedups trace-artifact writes by file name: artifacts are
+// deterministic, so whichever leader finishes first writes the files, and
+// two specs that map to one name never write them concurrently.
 type artifactKey string
 
 // instrument attaches a fresh collector and default-interval timeline to

@@ -237,19 +237,28 @@ func TestPoolBound(t *testing.T) {
 	}
 }
 
-// TestRunMachineCached: RunMachine returns the identical machine for
-// repeated requests (it is cached for Fig2's ledger inspection).
-func TestRunMachineCached(t *testing.T) {
-	h := New(Options{Ops: 30, Seed: 1, Parallel: 2})
-	m1, err := h.RunMachine("cceh", model.NameASAPRP, 4)
-	if err != nil {
+// TestFig2SharesFig8Runs: Fig2 reads its counts from cached Results, and
+// its asap_rp/4-thread specs are all among Fig8's, so once Fig8 has run
+// the figure costs no simulation.
+func TestFig2SharesFig8Runs(t *testing.T) {
+	h := New(Options{Ops: 20, Seed: 1, Parallel: 2})
+	fig8 := make(map[runspec.RunSpec]bool)
+	for _, k := range h.planFig8() {
+		fig8[k] = true
+	}
+	for _, k := range h.planFig2() {
+		if !fig8[k] {
+			t.Errorf("fig2 spec %s is not one of fig8's", k)
+		}
+	}
+	if _, err := h.Experiment("fig8"); err != nil {
 		t.Fatal(err)
 	}
-	m2, err := h.RunMachine("cceh", model.NameASAPRP, 4)
-	if err != nil {
+	_, before := h.eng.execs()
+	if _, err := h.Experiment("fig2"); err != nil {
 		t.Fatal(err)
 	}
-	if m1 != m2 {
-		t.Fatal("RunMachine re-ran instead of returning the cached machine")
+	if _, after := h.eng.execs(); after != before {
+		t.Fatalf("fig2 ran %d simulations after fig8, want 0", after-before)
 	}
 }

@@ -22,13 +22,13 @@ func (h *Harness) Fig2() (*Table, error) {
 		Header: []string{"workload", "epochs/ms", "crossdeps/ms", "epochs", "crossdeps"},
 	}
 	for _, wl := range Workloads() {
-		m, err := h.RunMachine(wl, model.NameASAPRP, 4)
+		r, err := h.Run(wl, model.NameASAPRP, 4)
 		if err != nil {
 			return nil, err
 		}
-		cyc := float64(m.Eng.Now())
-		epochs := float64(m.St.Get("epochsCommitted"))
-		deps := float64(m.Ledger.NumDeps())
+		cyc := float64(r.End)
+		epochs := float64(r.Stats.Get("epochsCommitted"))
+		deps := float64(r.Stats.Get("depsRecorded"))
 		scale := msCycles / cyc
 		t.Rows = append(t.Rows, []string{
 			wl, f1(epochs * scale), f1(deps * scale),
@@ -40,12 +40,12 @@ func (h *Harness) Fig2() (*Table, error) {
 	return t, nil
 }
 
-func (h *Harness) planFig2() []prefetchJob {
-	var plan []prefetchJob
+func (h *Harness) planFig2() []runspec.RunSpec {
+	var keys []runspec.RunSpec
 	for _, wl := range Workloads() {
-		plan = append(plan, prefetchJob{key: h.job(wl, model.NameASAPRP, 4), machine: true})
+		keys = append(keys, h.job(wl, model.NameASAPRP, 4))
 	}
-	return plan
+	return keys
 }
 
 // Fig3 measures the percentage of cycles the HOPS persist buffers are
@@ -76,12 +76,12 @@ func (h *Harness) Fig3() (*Table, error) {
 	return t, nil
 }
 
-func (h *Harness) planFig3() []prefetchJob {
+func (h *Harness) planFig3() []runspec.RunSpec {
 	var keys []runspec.RunSpec
 	for _, wl := range Workloads() {
 		keys = append(keys, h.job(wl, model.NameHOPSRP, 4))
 	}
-	return jobs(keys...)
+	return keys
 }
 
 // fig8Models are the evaluated models of Figure 8, paper order, with the
@@ -129,7 +129,7 @@ func (h *Harness) Fig8() (*Table, error) {
 	return t, nil
 }
 
-func (h *Harness) planFig8() []prefetchJob {
+func (h *Harness) planFig8() []runspec.RunSpec {
 	var keys []runspec.RunSpec
 	for _, wl := range Workloads() {
 		keys = append(keys, h.job(wl, model.NameBaseline, 4))
@@ -137,7 +137,7 @@ func (h *Harness) planFig8() []prefetchJob {
 			keys = append(keys, h.job(wl, mn, 4))
 		}
 	}
-	return jobs(keys...)
+	return keys
 }
 
 // Fig9 compares PM media write operations, ASAP vs HOPS, normalized to HOPS
@@ -180,14 +180,14 @@ func (h *Harness) Fig9() (*Table, error) {
 	return t, nil
 }
 
-func (h *Harness) planFig9() []prefetchJob {
+func (h *Harness) planFig9() []runspec.RunSpec {
 	var keys []runspec.RunSpec
 	for _, wl := range Workloads() {
 		keys = append(keys,
 			h.job(wl, model.NameHOPSRP, 4),
 			h.job(wl, model.NameASAPRP, 4))
 	}
-	return jobs(keys...)
+	return keys
 }
 
 // fig10Threads is Figure 10's thread sweep.
@@ -255,7 +255,7 @@ func (h *Harness) Fig10() (*Table, error) {
 	return t, nil
 }
 
-func (h *Harness) planFig10() []prefetchJob {
+func (h *Harness) planFig10() []runspec.RunSpec {
 	var keys []runspec.RunSpec
 	for _, wl := range Workloads() {
 		keys = append(keys, h.job(wl, model.NameHOPSRP, 1))
@@ -265,7 +265,7 @@ func (h *Harness) planFig10() []prefetchJob {
 			}
 		}
 	}
-	return jobs(keys...)
+	return keys
 }
 
 // Fig11 reports persist-buffer occupancy (average and 99th percentile) for
@@ -302,7 +302,7 @@ func (h *Harness) Fig11() (*Table, error) {
 	return t, nil
 }
 
-func (h *Harness) planFig11() []prefetchJob { return h.planFig9() }
+func (h *Harness) planFig11() []runspec.RunSpec { return h.planFig9() }
 
 // Fig12 reports the maximum recovery-table occupancy at 4 and 8 threads
 // (Figure 12): occupancy stays small and grows little with threads.
@@ -335,14 +335,14 @@ func (h *Harness) Fig12() (*Table, error) {
 	return t, nil
 }
 
-func (h *Harness) planFig12() []prefetchJob {
+func (h *Harness) planFig12() []runspec.RunSpec {
 	var keys []runspec.RunSpec
 	for _, wl := range Workloads() {
 		keys = append(keys,
 			h.job(wl, model.NameASAPRP, 4),
 			h.job(wl, model.NameASAPRP, 8))
 	}
-	return jobs(keys...)
+	return keys
 }
 
 // fig13Params scales the bandwidth micro's op count up so the controllers
@@ -389,7 +389,7 @@ func (h *Harness) Fig13() (*Table, error) {
 	return t, nil
 }
 
-func (h *Harness) planFig13() []prefetchJob {
+func (h *Harness) planFig13() []runspec.RunSpec {
 	var keys []runspec.RunSpec
 	for _, th := range []int{1, 2, 4} {
 		p := h.fig13Params(th)
@@ -397,5 +397,5 @@ func (h *Harness) planFig13() []prefetchJob {
 			keys = append(keys, jobParams(h.cfgFor(th), p, "bandwidth", mn))
 		}
 	}
-	return jobs(keys...)
+	return keys
 }

@@ -222,13 +222,6 @@ func (h *Harness) RunParams(cfg config.Config, p workload.Params, wl, mdl string
 	return h.eng.run(jobParams(cfg, p, wl, mdl))
 }
 
-// RunMachine builds and runs a machine, returning it for inspection (used
-// by experiments needing ledger access). The run machine is cached; it
-// must not be mutated.
-func (h *Harness) RunMachine(wl, mdl string, threads int) (*machine.Machine, error) {
-	return h.eng.machine(h.job(wl, mdl, threads))
-}
-
 // Spec builds the RunSpec for the standard configuration — the spec Run
 // would execute for the same arguments. Callers that need full control
 // over parameters or configuration build specs with runspec.New.
@@ -251,23 +244,7 @@ func (h *Harness) RunSpec(spec runspec.RunSpec) (machine.Result, error) {
 // plan-coverage test keeps plans honest).
 type experiment struct {
 	run  func(*Harness) (*Table, error)
-	plan func(*Harness) []prefetchJob
-}
-
-// prefetchJob is one planned simulation; machine marks RunMachine users
-// whose whole machine must be cached, not just the Result.
-type prefetchJob struct {
-	key     runspec.RunSpec
-	machine bool
-}
-
-// jobs converts plain run specs into prefetch jobs.
-func jobs(keys ...runspec.RunSpec) []prefetchJob {
-	out := make([]prefetchJob, len(keys))
-	for i, k := range keys {
-		out[i] = prefetchJob{key: k}
-	}
-	return out
+	plan func(*Harness) []runspec.RunSpec
 }
 
 // Experiments lists the available experiment IDs in paper order.
@@ -311,18 +288,14 @@ func (h *Harness) Experiment(id string) (*Table, error) {
 // pool and waits for them. Individual failures are not reported here: the
 // experiment body hits the same cached error (or the first failure's
 // root cause, once cancellation fires) in its deterministic serial order.
-func (h *Harness) prefetch(plan []prefetchJob) {
+func (h *Harness) prefetch(plan []runspec.RunSpec) {
 	var wg sync.WaitGroup
 	wg.Add(len(plan))
-	for _, j := range plan {
-		go func(j prefetchJob) {
+	for _, k := range plan {
+		go func(k runspec.RunSpec) {
 			defer wg.Done()
-			if j.machine {
-				h.eng.machine(j.key) //nolint:errcheck // body re-reads from cache
-			} else {
-				h.eng.run(j.key) //nolint:errcheck // body re-reads from cache
-			}
-		}(j)
+			h.eng.run(k) //nolint:errcheck // body re-reads from cache
+		}(k)
 	}
 	wg.Wait()
 }

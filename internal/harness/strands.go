@@ -66,14 +66,14 @@ func (h *Harness) AblStrands() (*Table, error) {
 	return t, nil
 }
 
-func (h *Harness) planAblStrands() []prefetchJob {
+func (h *Harness) planAblStrands() []runspec.RunSpec {
 	var keys []runspec.RunSpec
 	for _, wl := range strandWorkloads {
 		for _, mn := range strandModels {
 			keys = append(keys, jobParams(h.cfgFor(4), h.strandParams(), wl, mn))
 		}
 	}
-	return jobs(keys...)
+	return keys
 }
 
 func init() {

@@ -81,7 +81,7 @@ func (h *Harness) Tab4() (*Table, error) {
 	return t, nil
 }
 
-func (h *Harness) planTab4() []prefetchJob {
+func (h *Harness) planTab4() []runspec.RunSpec {
 	var keys []runspec.RunSpec
 	for _, wl := range tab4Workloads {
 		keys = append(keys, h.job(wl, model.NameBaseline, 4))
@@ -92,7 +92,7 @@ func (h *Harness) planTab4() []prefetchJob {
 			keys = append(keys, h.jobCfg(oneMCCfg(), wl, mn, 4))
 		}
 	}
-	return jobs(keys...)
+	return keys
 }
 
 // ablNVMBWGaps is the NVMDrainGap sweep in ns; the header labels the
@@ -140,7 +140,7 @@ func (h *Harness) AblNVMBW() (*Table, error) {
 	return t, nil
 }
 
-func (h *Harness) planAblNVMBW() []prefetchJob {
+func (h *Harness) planAblNVMBW() []runspec.RunSpec {
 	var keys []runspec.RunSpec
 	for _, th := range []int{1, 2} {
 		p := h.fig13Params(th)
@@ -151,7 +151,7 @@ func (h *Harness) planAblNVMBW() []prefetchJob {
 				jobParams(cfg, p, "bandwidth", model.NameASAPRP))
 		}
 	}
-	return jobs(keys...)
+	return keys
 }
 
 func init() {

@@ -5,6 +5,7 @@
 package machine
 
 import (
+	"errors"
 	"fmt"
 
 	"asap/internal/cache"
@@ -35,7 +36,8 @@ const (
 	mEvHandoff         // finish a contended acquire handed to core arg
 )
 
-// Machine is one runnable system instance. Build with New, run with Run.
+// Machine is one runnable system instance. Build with New or NewUnchecked,
+// run with Run.
 type Machine struct {
 	Eng    *sim.Engine
 	Cfg    config.Config
@@ -44,7 +46,7 @@ type Machine struct {
 	MCs    []*persist.MC
 	IL     *mem.Interleaver
 	St     *stats.Set
-	Ledger *Ledger
+	Ledger *Ledger // crash ground truth; nil when built by NewUnchecked
 
 	cores    []*coreState
 	locks    map[mem.Line]*lockState
@@ -124,8 +126,28 @@ type lockState struct {
 }
 
 // New builds a machine running the named model over the trace. The trace
-// may use at most cfg.Cores threads.
+// may use at most cfg.Cores threads. The machine records the crash ledger
+// (Machine.Ledger), the ground truth crash.Check and checkpoint images need.
 func New(cfg config.Config, modelName string, tr *trace.Trace) (*Machine, error) {
+	return build(cfg, modelName, tr, NewLedger())
+}
+
+// NewUnchecked is New without the crash ledger: Machine.Ledger is nil and
+// the model reports to model.NopLedger. The ledger is observation only, so
+// the run's Result is identical to New's; callers that only read timing and
+// stats (the figure harness, asapd) skip its cost. Such a machine cannot be
+// crash-checked, rebuilt into a heap image, captured or saved.
+func NewUnchecked(cfg config.Config, modelName string, tr *trace.Trace) (*Machine, error) {
+	return build(cfg, modelName, tr, nil)
+}
+
+// ErrNoLedger reports a machine built by NewUnchecked where the crash
+// ledger is required: crash checks, heap-image rebuilds and checkpoints.
+var ErrNoLedger = errors.New("machine has no crash ledger (built by machine.NewUnchecked; use machine.New)")
+
+// build is the one construction body behind New and NewUnchecked; lg is
+// nil for a ledger-free machine.
+func build(cfg config.Config, modelName string, tr *trace.Trace, lg *Ledger) (*Machine, error) {
 	cfg.Validate()
 	if tr.NumThreads() > cfg.Cores {
 		return nil, fmt.Errorf("machine: trace has %d threads but config has %d cores", tr.NumThreads(), cfg.Cores)
@@ -138,7 +160,7 @@ func New(cfg config.Config, modelName string, tr *trace.Trace) (*Machine, error)
 		Hier:   cache.NewHierarchy(cfg),
 		IL:     mem.NewInterleaver(cfg.MCs, cfg.InterleaveBytes),
 		St:     st,
-		Ledger: NewLedger(),
+		Ledger: lg,
 		locks:  make(map[mem.Line]*lockState),
 		pm:     newPMFilter(tr),
 
@@ -156,6 +178,11 @@ func New(cfg config.Config, modelName string, tr *trace.Trace) (*Machine, error)
 	for i := range m.MCs {
 		m.MCs[i] = persist.NewMC(i, eng, cfg, spec, st)
 	}
+	// A nil *Ledger must not reach the model as a typed-nil interface.
+	var mlg model.Ledger = model.NopLedger{}
+	if lg != nil {
+		mlg = lg
+	}
 	mdl, err := model.New(modelName, model.Env{
 		Eng:    eng,
 		Cfg:    cfg,
@@ -163,7 +190,7 @@ func New(cfg config.Config, modelName string, tr *trace.Trace) (*Machine, error)
 		IL:     m.IL,
 		Dir:    m.Hier.Directory(),
 		St:     st,
-		Ledger: m.Ledger,
+		Ledger: mlg,
 	})
 	if err != nil {
 		return nil, err
@@ -386,6 +413,7 @@ func (m *Machine) ScheduleCrash(at sim.Cycles) {
 type Result struct {
 	ModelName string
 	Cycles    sim.Cycles // max per-core finish time (execution time)
+	End       sim.Cycles // engine clock at return; trailing drain events can pass Cycles
 	PerCore   []sim.Cycles
 	Stats     *stats.Set
 	PMWrites  uint64 // media writes across all controllers (Figure 9)
@@ -462,6 +490,7 @@ func (m *Machine) CrashNow(at sim.Cycles) {
 func (m *Machine) result() Result {
 	res := Result{
 		ModelName: m.Model.Name(),
+		End:       m.Eng.Now(),
 		Stats:     m.St,
 		PerCore:   make([]sim.Cycles, len(m.cores)),
 		Crashed:   m.Crashed,
@@ -530,7 +559,9 @@ func (m *Machine) step(c *coreState) {
 		if op.Persistent {
 			m.pm.mark(line)
 			m.tokenSeq++
-			m.Ledger.SetOrigin(m.tokenSeq, Origin{Thread: c.id, Seq: c.pstores})
+			if m.Ledger != nil {
+				m.Ledger.SetOrigin(m.tokenSeq, Origin{Thread: c.id, Seq: c.pstores})
+			}
 			c.pstores++
 			c.pendLine, c.pendToken = line, m.tokenSeq
 			m.Eng.AfterOp(lat, m, mEvPStore, core)

@@ -99,53 +99,54 @@ func distSnapshot(st *stats.Set) map[string]stats.DistValue {
 	return out
 }
 
-// compareRuns asserts that a run from a "shards" spec reproduced the
-// serial result: same execution time, same per-core finish times, same
-// media traffic and high-water marks, same counters, same distributions.
-func compareRuns(t *testing.T, label string, serial, sharded Result) {
+// compareRuns asserts that two runs of one spec returned the same
+// Result: same execution time and final clock, same per-core finish
+// times, same media traffic and high-water marks, same counters, same
+// distributions.
+func compareRuns(t *testing.T, label string, want, got Result) {
 	t.Helper()
-	if serial.Cycles != sharded.Cycles {
-		t.Errorf("%s: cycles diverged: serial %d, sharded %d", label, serial.Cycles, sharded.Cycles)
+	if want.Cycles != got.Cycles || want.End != got.End {
+		t.Errorf("%s: cycles/end diverged: want %d/%d, got %d/%d", label, want.Cycles, want.End, got.Cycles, got.End)
 	}
-	if len(serial.PerCore) != len(sharded.PerCore) {
-		t.Fatalf("%s: core count diverged: serial %d, sharded %d", label, len(serial.PerCore), len(sharded.PerCore))
+	if len(want.PerCore) != len(got.PerCore) {
+		t.Fatalf("%s: core count diverged: want %d, got %d", label, len(want.PerCore), len(got.PerCore))
 	}
-	for i := range serial.PerCore {
-		if serial.PerCore[i] != sharded.PerCore[i] {
-			t.Errorf("%s: core %d finish diverged: serial %d, sharded %d",
-				label, i, serial.PerCore[i], sharded.PerCore[i])
+	for i := range want.PerCore {
+		if want.PerCore[i] != got.PerCore[i] {
+			t.Errorf("%s: core %d finish diverged: want %d, got %d",
+				label, i, want.PerCore[i], got.PerCore[i])
 		}
 	}
-	if serial.PMWrites != sharded.PMWrites || serial.PMReads != sharded.PMReads {
-		t.Errorf("%s: media traffic diverged: serial %d/%d writes/reads, sharded %d/%d",
-			label, serial.PMWrites, serial.PMReads, sharded.PMWrites, sharded.PMReads)
+	if want.PMWrites != got.PMWrites || want.PMReads != got.PMReads {
+		t.Errorf("%s: media traffic diverged: want %d/%d writes/reads, got %d/%d",
+			label, want.PMWrites, want.PMReads, got.PMWrites, got.PMReads)
 	}
-	if serial.RTMaxOcc != sharded.RTMaxOcc {
-		t.Errorf("%s: RT max occupancy diverged: serial %d, sharded %d", label, serial.RTMaxOcc, sharded.RTMaxOcc)
+	if want.RTMaxOcc != got.RTMaxOcc {
+		t.Errorf("%s: RT max occupancy diverged: want %d, got %d", label, want.RTMaxOcc, got.RTMaxOcc)
 	}
-	if serial.WPQMaxOcc != sharded.WPQMaxOcc {
-		t.Errorf("%s: WPQ max occupancy diverged: serial %d, sharded %d", label, serial.WPQMaxOcc, sharded.WPQMaxOcc)
+	if want.WPQMaxOcc != got.WPQMaxOcc {
+		t.Errorf("%s: WPQ max occupancy diverged: want %d, got %d", label, want.WPQMaxOcc, got.WPQMaxOcc)
 	}
-	sc, pc := counterSnapshot(serial.Stats), counterSnapshot(sharded.Stats)
-	for name, v := range sc {
-		if pv, ok := pc[name]; !ok || pv != v {
-			t.Errorf("%s: counter %s diverged: serial %d, sharded %d", label, name, v, pv)
+	wc, gc := counterSnapshot(want.Stats), counterSnapshot(got.Stats)
+	for name, v := range wc {
+		if gv, ok := gc[name]; !ok || gv != v {
+			t.Errorf("%s: counter %s diverged: want %d, got %d", label, name, v, gv)
 		}
 	}
-	for name := range pc {
-		if _, ok := sc[name]; !ok {
-			t.Errorf("%s: counter %s touched only by the sharded run (%d)", label, name, pc[name])
+	for name := range gc {
+		if _, ok := wc[name]; !ok {
+			t.Errorf("%s: counter %s touched only by the second run (%d)", label, name, gc[name])
 		}
 	}
-	sd, pd := distSnapshot(serial.Stats), distSnapshot(sharded.Stats)
-	for name, v := range sd {
-		if pv, ok := pd[name]; !ok || pv != v {
-			t.Errorf("%s: dist %s diverged: serial %+v, sharded %+v", label, name, v, pv)
+	wd, gd := distSnapshot(want.Stats), distSnapshot(got.Stats)
+	for name, v := range wd {
+		if gv, ok := gd[name]; !ok || gv != v {
+			t.Errorf("%s: dist %s diverged: want %+v, got %+v", label, name, v, gv)
 		}
 	}
-	for name := range pd {
-		if _, ok := sd[name]; !ok {
-			t.Errorf("%s: dist %s sampled only by the sharded run", label, name)
+	for name := range gd {
+		if _, ok := wd[name]; !ok {
+			t.Errorf("%s: dist %s sampled only by the second run", label, name)
 		}
 	}
 }

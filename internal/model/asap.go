@@ -353,6 +353,7 @@ func (m *ASAP) addDependency(core int, src persist.EpochID) {
 		cur.Deps = append(cur.Deps, src)             //asaplint:ignore alloccheck conflict-only path; fan-out bounded by live epochs
 		ent.Dependents = append(ent.Dependents, dst) //asaplint:ignore alloccheck conflict-only path; fan-out bounded by live epochs
 		m.env.Ledger.DepCreated(src, dst)
+		m.hc.depsRecorded.Inc()
 	}
 	// If the source epoch committed between the check and here, no
 	// dependency is needed.

@@ -193,6 +193,7 @@ func (m *DPO) Conflict(core int, cf *cache.Conflict) {
 		//asaplint:ignore alloccheck legacy model map bounded by workload footprint; outside the zero-alloc gate
 		m.waiters[src] = append(m.waiters[src], dst)
 		m.env.Ledger.DepCreated(src, dst)
+		m.hc.depsRecorded.Inc()
 	}
 }
 

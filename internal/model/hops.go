@@ -205,6 +205,7 @@ func (m *HOPS) Conflict(core int, cf *cache.Conflict) {
 		//asaplint:ignore alloccheck legacy model bookkeeping growth, bounded by workload footprint; outside the zero-alloc gate
 		cur.Deps = append(cur.Deps, src)
 		m.env.Ledger.DepCreated(src, persist.EpochID{Thread: core, TS: cur.TS})
+		m.hc.depsRecorded.Inc()
 		m.schedulePoll(c)
 	}
 }

@@ -188,6 +188,7 @@ func (m *LBPP) Conflict(core int, cf *cache.Conflict) {
 		//asaplint:ignore alloccheck legacy model map bounded by workload footprint; outside the zero-alloc gate
 		m.waiters[src] = append(m.waiters[src], dst)
 		m.env.Ledger.DepCreated(src, dst)
+		m.hc.depsRecorded.Inc()
 	}
 }
 

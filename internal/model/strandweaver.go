@@ -251,6 +251,7 @@ func (m *StrandWeaver) Conflict(core int, cf *cache.Conflict) {
 		//asaplint:ignore alloccheck legacy model map bounded by workload footprint; outside the zero-alloc gate
 		m.waiters[src] = append(m.waiters[src], id)
 		m.env.Ledger.DepCreated(src, id)
+		m.hc.depsRecorded.Inc()
 	}
 	m.tryCommitAll(c)
 }

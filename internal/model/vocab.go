@@ -12,6 +12,7 @@ import "asap/internal/stats"
 var (
 	kClwbIssued          = stats.Register("clwbIssued", "explicit cache-line write-backs issued (baseline clwb+fence path)")
 	kCyclesStalled       = stats.Register("cyclesStalled", "CPU stall cycles because of a full persist buffer")
+	kDepsRecorded        = stats.Register("depsRecorded", "cross-thread dependency edges recorded between epochs (Figure 2)")
 	kDfenceStalled       = stats.Register("dfenceStalled", "CPU stall cycles waiting on dfence completion")
 	kDpoBroadcasts       = stats.Register("dpoBroadcasts", "DPO inter-MC ordering broadcasts")
 	kEntriesInserted     = stats.Register("entriesInserted", "writes enqueued in the persist buffers")
@@ -40,6 +41,7 @@ var (
 type hotCounters struct {
 	clwbIssued          stats.Counter
 	cyclesStalled       stats.Counter
+	depsRecorded        stats.Counter
 	dfenceStalled       stats.Counter
 	dpoBroadcasts       stats.Counter
 	entriesInserted     stats.Counter
@@ -65,6 +67,7 @@ func newHotCounters(st *stats.Set) hotCounters {
 	return hotCounters{
 		clwbIssued:          st.Counter(kClwbIssued),
 		cyclesStalled:       st.Counter(kCyclesStalled),
+		depsRecorded:        st.Counter(kDepsRecorded),
 		dfenceStalled:       st.Counter(kDfenceStalled),
 		dpoBroadcasts:       st.Counter(kDpoBroadcasts),
 		entriesInserted:     st.Counter(kEntriesInserted),

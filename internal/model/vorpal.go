@@ -225,6 +225,7 @@ func (m *Vorpal) Conflict(core int, cf *cache.Conflict) {
 	//asaplint:ignore alloccheck legacy model map bounded by workload footprint; outside the zero-alloc gate
 	m.deps[dst] = append(m.deps[dst], src)
 	m.env.Ledger.DepCreated(src, dst)
+	m.hc.depsRecorded.Inc()
 }
 
 // StartDrain gives end-of-trace dfence semantics.

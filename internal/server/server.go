@@ -39,6 +39,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -238,6 +239,9 @@ func (r *statusRecorder) WriteHeader(code int) {
 	r.ResponseWriter.WriteHeader(code)
 }
 
+// Unwrap lets http.ResponseController reach the connection's deadlines.
+func (r *statusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter }
+
 func (r *statusRecorder) Flush() {
 	if f, ok := r.ResponseWriter.(http.Flusher); ok {
 		f.Flush()
@@ -293,12 +297,38 @@ func serveEnvelope(w http.ResponseWriter, hash, disposition string, body []byte)
 // maxSpecBytes bounds the request body; a RunSpec is well under 4 KB.
 const maxSpecBytes = 1 << 20
 
+// specReadTimeout bounds how long a client may take to send its spec body,
+// so a client trickling bytes cannot hold a handler open indefinitely. It
+// is set per request rather than as http.Server.ReadTimeout, which would
+// also cut off SSE streams and sync submits waiting on a simulation.
+const specReadTimeout = 5 * time.Second
+
+// readSpec reads a submit body under specReadTimeout, then lifts the
+// deadline again: a sync submit goes on to wait for its simulation, and
+// the server's background read of the idle connection must not time out
+// and cancel the request. Writers without deadline support (test
+// recorders) read without a bound.
+func readSpec(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	rc := http.NewResponseController(w)
+	if err := rc.SetReadDeadline(time.Now().Add(specReadTimeout)); err != nil && !errors.Is(err, http.ErrNotSupported) {
+		return nil, err
+	}
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxSpecBytes+1))
+	if err != nil {
+		return nil, err
+	}
+	if err := rc.SetReadDeadline(time.Time{}); err != nil && !errors.Is(err, http.ErrNotSupported) {
+		return nil, err
+	}
+	return body, nil
+}
+
 // handleSubmit accepts a RunSpec, answers from the store when possible,
 // otherwise joins or starts the simulation. With ?async=1 it returns 202
 // and the run id immediately; otherwise it blocks until the result is
 // ready and returns it.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxSpecBytes+1))
+	body, err := readSpec(w, r)
 	if err != nil {
 		jsonError(w, http.StatusBadRequest, "reading body: %v", err)
 		return
@@ -475,12 +505,13 @@ func (s *Server) execute(ru *run) {
 	s.log.Info("run finished", "run", ru.hash, "spec", ru.spec.String(), "cycles", uint64(res.Cycles),
 		"queueWaitMs", ms(queueWait), "simulateMs", ms(simulate))
 
+	// Drop the entry before releasing waiters too, so a client whose POST
+	// returned never scrapes its run as still in flight.
 	ru.body = body
-	close(ru.done)
-
 	s.mu.Lock()
 	delete(s.runs, ru.hash)
 	s.mu.Unlock()
+	close(ru.done)
 }
 
 // ms renders a duration as fractional milliseconds for log records.
