@@ -24,7 +24,7 @@ fmt:
 
 # lint runs the repo's own static-analysis suite (cmd/asaplint): the
 # per-package analyzers (donecheck, detcheck, unitcheck, ledgercheck,
-# obscheck, schedcheck, statcheck) plus the module-wide call-graph pair —
+# obscheck, statcheck) plus the module-wide call-graph pair —
 # alloccheck (//asap:hot functions are transitively allocation-free) and
 # domaincheck (event callbacks mutate only their own component). Use
 # `go run ./cmd/asaplint -json ./...` for machine-readable findings.
@@ -33,12 +33,17 @@ lint:
 
 # size prints the two code-size measures the ROADMAP tracks: lines of
 # non-test Go (perfbench/ and testdata/ excluded) and, within them, the
-# number of //asaplint:ignore ... alloccheck suppressions.
+# number of //asaplint:ignore ... alloccheck suppressions. It fails when
+# the suppressions exceed the ceiling: a change that needs more lowers
+# another first, or raises the ceiling here with a reason.
 size:
 	@files="$$(find . -name '*.go' ! -name '*_test.go' -not -path './.git/*' \
 		-not -path './.bench_build/*' -not -path './perfbench/*' -not -path '*/testdata/*')"; \
+	ceiling=96; \
+	n=$$(cat $$files | grep -c 'asaplint:ignore.*alloccheck'); \
 	echo "non-test Go LOC: $$(cat $$files | wc -l)"; \
-	echo "alloccheck suppressions: $$(cat $$files | grep -c 'asaplint:ignore.*alloccheck')"
+	echo "alloccheck suppressions: $$n (ceiling $$ceiling)"; \
+	if [ $$n -gt $$ceiling ]; then echo "alloccheck suppressions above the ceiling" >&2; exit 1; fi
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...

@@ -1,6 +1,6 @@
 // Command asaplint runs the repository's static-analysis suite
 // (internal/analysis): the per-package analyzers donecheck, detcheck,
-// unitcheck, ledgercheck, obscheck, schedcheck and statcheck, plus the
+// unitcheck, ledgercheck, obscheck and statcheck, plus the
 // module-wide call-graph analyzers alloccheck and domaincheck.
 // It loads every package of the module from source using only the
 // standard library — no go/packages, no external tools — and exits
@@ -31,7 +31,6 @@ import (
 	"asap/internal/analysis/donecheck"
 	"asap/internal/analysis/ledgercheck"
 	"asap/internal/analysis/obscheck"
-	"asap/internal/analysis/schedcheck"
 	"asap/internal/analysis/statcheck"
 	"asap/internal/analysis/unitcheck"
 )
@@ -43,7 +42,6 @@ func analyzers() []analysis.Analyzer {
 		unitcheck.New(),
 		ledgercheck.New(),
 		obscheck.New(),
-		schedcheck.New(),
 		statcheck.New(),
 	}
 }

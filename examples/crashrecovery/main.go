@@ -15,6 +15,16 @@ import (
 	"asap/internal/stats"
 )
 
+// reply records the controller's answer to one flush or commit; the walk
+// prints it once the engine has delivered it.
+type reply struct {
+	res   persist.FlushResult
+	epoch persist.EpochID
+}
+
+func (r *reply) FlushReply(_ uint64, res persist.FlushResult) { r.res = res }
+func (r *reply) CommitAck(e persist.EpochID)                  { r.epoch = e }
+
 func main() {
 	eng := sim.NewEngine()
 	cfg := config.Default()
@@ -37,20 +47,20 @@ func main() {
 	fmt.Println()
 
 	flush := func(tok mem.Token, thread int, ts uint64, early bool) {
-		mc.Receive(persist.FlushPacket{
+		r := &reply{}
+		mc.ReceiveOp(persist.FlushPacket{
 			Line: line, Token: tok,
 			Epoch: persist.EpochID{Thread: thread, TS: ts},
 			Early: early,
-		}, func(r persist.FlushResult) {
-			fmt.Printf("  -> flush A=%d from T%d: %s\n", tok, thread, r)
-		})
+		}, r, 0)
 		eng.Run(0)
+		fmt.Printf("  -> flush A=%d from T%d: %s\n", tok, thread, r.res)
 	}
 	commit := func(thread int, ts uint64) {
-		mc.Commit(persist.EpochID{Thread: thread, TS: ts}, func() {
-			fmt.Printf("  -> commit T%d/E%d acknowledged\n", thread, ts)
-		})
+		r := &reply{}
+		mc.SendCommit(persist.EpochID{Thread: thread, TS: ts}, r)
 		eng.Run(0)
+		fmt.Printf("  -> commit T%d/E%d acknowledged\n", r.epoch.Thread, r.epoch.TS)
 	}
 
 	// T1's A=1 persisted safely first (its epoch was already safe).
@@ -81,15 +91,15 @@ func main() {
 	eng2 := sim.NewEngine()
 	mc2 := persist.NewMC(0, eng2, cfg, true, stats.New())
 	replay := func(tok mem.Token, thread int, ts uint64, early bool) {
-		mc2.Receive(persist.FlushPacket{Line: line, Token: tok,
+		mc2.ReceiveOp(persist.FlushPacket{Line: line, Token: tok,
 			Epoch: persist.EpochID{Thread: thread, TS: ts}, Early: early},
-			func(persist.FlushResult) {})
+			&reply{}, 0)
 		eng2.Run(0)
 	}
 	replay(1, 1, 1, false)
 	replay(3, 3, 1, true)
 	replay(2, 2, 1, true)
-	mc2.Commit(persist.EpochID{Thread: 2, TS: 1}, func() {})
+	mc2.SendCommit(persist.EpochID{Thread: 2, TS: 1}, &reply{})
 	eng2.Run(0)
 	fmt.Printf("pre-crash: memory=%d (speculative), undo safe=2 (T2 committed)\n", mc2.NVM.Peek(line))
 	mc2.CrashFlush()

@@ -6,10 +6,11 @@
 //
 // A "consumption" of done is a direct call done(), a handoff of done as
 // an argument to another call (the callee inherits the obligation, e.g.
-// m.Dfence(core, done)), a store of done into a variable or field for
-// later invocation (c.dfenceWaiter = done), or a function literal that
-// captures done (the stored closure will invoke it, e.g. the
-// storeWaiters retry pattern that re-enqueues through sim.Engine).
+// m.Dfence(core, done), or c.store.park(line, token, done, now) parking a
+// stalled store), a store of done into a variable or field for later
+// invocation (c.delayed = done, or a waiter struct literal holding it:
+// c.fence = fenceWaiter{done: done, ...}), or a function literal that
+// captures done (the closure inherits the obligation).
 // Mentions of done in nil-comparisons do not consume it. Paths ending in
 // panic or os.Exit are exempt.
 package donecheck

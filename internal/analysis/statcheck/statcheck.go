@@ -6,7 +6,7 @@
 // (st.Counter(key)). String-keyed writes stay legal on cold paths (setup,
 // sampling, reporting); a string-keyed write inside one of the known hot
 // functions needs an //asaplint:ignore statcheck directive naming why it
-// is cold, the same escape hatch schedcheck uses.
+// is cold, the escape hatch every analyzer shares.
 //
 // The stats Set is matched structurally (a named struct type called Set
 // with an Inc method), so fixtures need no non-stdlib imports.

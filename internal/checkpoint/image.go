@@ -31,8 +31,9 @@ package checkpoint
 //     does not supply — a stored continuation cannot be rebuilt.
 //   - Interfaces hold long-lived components (model, controllers):
 //     def/ref over their pointees plus a dynamic type name check.
-//   - The engine must be quiescent (sim.Engine.Quiesce): typed events
-//     serialize by canonical receiver index, closure events cannot.
+//   - Engine events are pointer-free and serialize as they are: their
+//     receiver index is canonical because machines register receivers in
+//     construction order (sim.Engine.RegisterOp).
 //
 // Layout: magic, format version, then a SHA-256 digest of the remainder,
 // then the digested payload: schema fingerprint (a hash of the machine's
@@ -950,7 +951,7 @@ var machineType = reflect.TypeOf(machine.Machine{})
 
 // Save serializes m into a checkpoint image. The machine must be
 // unobserved (no tracer/timeline/progress attached), and quiescent: no
-// closure-form events in flight (sim.Engine.Quiesce). Crash campaigns and
+// operation parked mid-flight (ErrNotQuiescent). Crash campaigns and
 // warm-started sweeps use the in-memory Capture/Fork; Save is the
 // cross-process form — archive a warmed machine, restore it in another
 // process, and continue byte-identically.
@@ -1114,12 +1115,12 @@ func Load(img []byte) (m *machine.Machine, err error) {
 	return fresh, nil
 }
 
-// ErrNotQuiescent reports that Save found live closures — the machine is
-// between instants the image format can represent. Two sources: engine
-// closure events (models that drive flush loops via Eng.After), and
-// blocked-operation continuations inside any model (a stalled store, an
-// ofence waiting on a full epoch table, a dfence mid-drain). Both clear on
-// their own as the run proceeds.
+// ErrNotQuiescent reports that Save found a resume callback construction
+// does not supply: a core's operation is parked inside the model (a store
+// on a full persist buffer, a fence on a full epoch table, a dfence
+// mid-drain, an LRP operation behind a blocked acquire, a core held by
+// PMEM-Spec recovery), and a stored continuation cannot be rebuilt. It
+// clears on its own as the run proceeds.
 var ErrNotQuiescent = fmt.Errorf("checkpoint: machine not quiescent")
 
 // hasFuncPath reports whether values of t can reach a func value. The
@@ -1412,6 +1413,9 @@ func ImageCycle(img []byte) (uint64, error) {
 	_, n := binary.Uvarint(rest)
 	if n <= 0 {
 		return 0, fmt.Errorf("checkpoint: bad version varint")
+	}
+	if len(rest) < n+32+8 {
+		return 0, fmt.Errorf("checkpoint: image truncated")
 	}
 	rest = rest[n+32:]
 	if len(rest) < 8 {

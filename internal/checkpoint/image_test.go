@@ -40,8 +40,8 @@ func newAt(t *testing.T, mn string, c diffCase, at uint64) *machine.Machine {
 // every model × a workload sample, a machine advanced to a randomized
 // mid-run cycle, saved to a binary image, loaded back, and run to
 // completion must reproduce the uninterrupted run byte-identically —
-// Result, stats, and every controller's NVM image. Models that drive
-// flush loops through engine closures save at the next quiescent cycle.
+// Result, stats, and every controller's NVM image. A machine with an
+// operation parked saves at the next quiescent cycle.
 func TestImageRoundtrip(t *testing.T) {
 	for _, mn := range model.ExtendedNames() {
 		for _, c := range diffWorkloads() {
@@ -158,39 +158,49 @@ func TestImageRejectsBadInput(t *testing.T) {
 	}
 }
 
-// TestImageRejectsUnquiescent pins the gating contract for closure-driven
-// models, and that SaveNextQuiescent reports non-quiescence when the
-// search window is too small.
+// TestImageRejectsUnquiescent pins the gating contract: a machine whose
+// core is parked mid-operation holds a resume callback construction does
+// not supply, so Save refuses it, and SaveNextQuiescent with no search
+// window reports the same. A 2-entry persist buffer makes hops_rp park a
+// store on a full buffer within the first few hundred cycles.
 func TestImageRejectsUnquiescent(t *testing.T) {
-	c := diffCase{wl: "cceh", p: workload.Params{Threads: 2, OpsPerThread: 200, Seed: 3}}
-	m := newAt(t, model.NameHOPSRP, c, 0)
-	// Find a cycle where hops_rp has a closure in flight: step until Save
-	// refuses, which must happen early in any run with persist traffic.
-	found := false
+	tr, err := workload.Generate("cceh", workload.Params{Threads: 2, OpsPerThread: 200, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := config.Default()
+	cfg.PBEntries = 2
+	build := func(at uint64) *machine.Machine {
+		m, err := machine.New(cfg, model.NameHOPSRP, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Advance(at)
+		return m
+	}
+	m := build(0)
 	for i := uint64(1); i < 2000; i++ {
 		m.Advance(i)
-		if _, err := Save(m); err != nil {
-			if !errors.Is(err, ErrNotQuiescent) {
-				t.Fatalf("unexpected save error: %v", err)
-			}
-			if _, _, err := SaveNextQuiescent(newAt(t, model.NameHOPSRP, c, i), 0); !errors.Is(err, ErrNotQuiescent) {
-				t.Fatalf("zero-window search: got %v, want ErrNotQuiescent", err)
-			}
-			found = true
-			break
+		_, err := Save(m)
+		if err == nil {
+			continue
 		}
+		if !errors.Is(err, ErrNotQuiescent) || !strings.Contains(err.Error(), ".store.done") {
+			t.Fatalf("cycle %d: save error %v, want ErrNotQuiescent naming the parked store", i, err)
+		}
+		if _, _, err := SaveNextQuiescent(build(i), 0); !errors.Is(err, ErrNotQuiescent) {
+			t.Fatalf("zero-window search: got %v, want ErrNotQuiescent", err)
+		}
+		return
 	}
-	if !found {
-		t.Skip("hops_rp never left quiescence on this workload")
-	}
+	t.Fatal("hops_rp with a 2-entry persist buffer never parked a store in 2000 cycles")
 }
 
 // goldenImagePath is the committed checkpoint image: asap_ep on the cceh
 // workload, advanced to cycle 400, where SaveNextQuiescent starts its
 // search; the image is captured at the first quiescent cycle after it,
 // goldenImageCycle. TestGoldenImage loads it and reruns it.
-func goldenImagePath(t *testing.T) string {
-	t.Helper()
+func goldenImagePath() string {
 	return filepath.Join("..", "..", "testdata", "golden", "checkpoint_asap_ep_cceh.ckpt")
 }
 
@@ -217,7 +227,7 @@ func TestGoldenImage(t *testing.T) {
 	if at != goldenImageCycle {
 		t.Fatalf("golden image captured at cycle %d, want %d: the quiescence search landed elsewhere, so the event stream changed", at, goldenImageCycle)
 	}
-	path := goldenImagePath(t)
+	path := goldenImagePath()
 	if *updateGolden {
 		if err := os.WriteFile(path, img, 0o644); err != nil {
 			t.Fatal(err)

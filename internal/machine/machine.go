@@ -34,6 +34,7 @@ const (
 	mEvTimeline        // periodic timeline row
 	mEvRelease         // run the model's Release for core arg's staged lock line
 	mEvHandoff         // finish a contended acquire handed to core arg
+	mEvCrash           // scheduled power failure (ScheduleCrash)
 )
 
 // Machine is one runnable system instance. Build with New or NewUnchecked,
@@ -268,6 +269,8 @@ func (m *Machine) RunEvent(kind int, arg uint64) {
 		m.sample() //asaplint:ignore alloccheck periodic sampler fires once per SampleInterval, amortized off the per-op path
 	case mEvTimeline:
 		m.timelineTick() //asaplint:ignore alloccheck interval-paced timeline row; off unless -timeline is set
+	case mEvCrash:
+		m.crash() //asaplint:ignore alloccheck one power failure ends the run; the ADR crash sequence is cold
 	default:
 		panic(fmt.Sprintf("machine: unknown event kind %d", kind))
 	}
@@ -396,17 +399,20 @@ func (m *Machine) timelineTick() {
 // runs (WPQ drain plus undo-record write-back) and the simulation halts.
 func (m *Machine) ScheduleCrash(at sim.Cycles) {
 	m.crashAt = at
-	//asaplint:ignore schedcheck one crash event per experiment, cold
-	m.Eng.At(at, func() {
-		m.Crashed = true
-		if m.trc != nil {
-			m.trc.Instant(m.engTrack, "crash")
-		}
-		for _, mc := range m.MCs {
-			mc.CrashFlush()
-		}
-		m.Eng.Halt()
-	})
+	m.Eng.ScheduleOp(at, m, mEvCrash, 0)
+}
+
+// crash is the ADR power-fail sequence: WPQ drain plus undo write-back on
+// every controller, then halt.
+func (m *Machine) crash() {
+	m.Crashed = true
+	if m.trc != nil {
+		m.trc.Instant(m.engTrack, "crash")
+	}
+	for _, mc := range m.MCs {
+		mc.CrashFlush()
+	}
+	m.Eng.Halt()
 }
 
 // Result summarizes one run.
@@ -477,14 +483,7 @@ func (m *Machine) CrashNow(at sim.Cycles) {
 	m.Advance(at - 1)
 	m.Eng.JumpTo(at)
 	m.crashAt = at
-	m.Crashed = true
-	if m.trc != nil {
-		m.trc.Instant(m.engTrack, "crash")
-	}
-	for _, mc := range m.MCs {
-		mc.CrashFlush()
-	}
-	m.Eng.Halt()
+	m.crash()
 }
 
 func (m *Machine) result() Result {

@@ -7,7 +7,6 @@ import (
 	"asap/internal/mem"
 	"asap/internal/obs"
 	"asap/internal/persist"
-	"asap/internal/sim"
 	"asap/internal/stats"
 )
 
@@ -40,55 +39,26 @@ type ASAP struct {
 	pbTracks []obs.TrackID
 }
 
-// packEpochArg squeezes an EpochID into a typed event's uint64 arg: thread
-// in the low byte (config caps cores at 64), timestamp above. The guard
-// trips long before a real run could reach 2^56 epochs.
-func packEpochArg(e persist.EpochID) uint64 {
-	if uint64(e.Thread) > 0xFF || e.TS >= 1<<56 {
-		panic("asap: epoch id does not fit a packed event arg")
-	}
-	return e.TS<<8 | uint64(e.Thread)
-}
-
-func unpackEpochArg(arg uint64) persist.EpochID {
-	return persist.EpochID{Thread: int(arg & 0xFF), TS: arg >> 8}
-}
-
 type asapCore struct {
-	id int
-	m  *ASAP // back-pointer for the FlushReplier implementation
-	pb *persist.PersistBuffer
-	et *persist.EpochTable
+	bufCPU
+	m *ASAP // back-pointer for the FlushReplier implementation
 
 	// conservative flushing mode after a NACK; cleared when consTS commits.
 	conservative bool
 	consTS       uint64
 
-	flushScheduled bool
-
 	// eligibleFn is the flush-eligibility predicate handed to
 	// PersistBuffer.NextWaiting, built once so the per-flush path does not
 	// recreate the closure.
 	eligibleFn func(*persist.PBEntry) bool
-
-	// stalled operations.
-	storeWaiters []func()
-	fenceWaiter  func() // blocked ofence (epoch table full)
-	dfenceWaiter func() // blocked dfence or drain
-	dfenceStart  sim.Cycles
 }
 
 func newASAP(env Env, rp bool) *ASAP {
 	m := &ASAP{env: env, hc: newHotCounters(env.St), rp: rp}
 	m.cores = make([]*asapCore, env.Cfg.Cores)
 	for i := range m.cores {
-		m.cores[i] = &asapCore{
-			id: i,
-			m:  m,
-			pb: persist.NewPersistBuffer(env.Cfg.PBEntries),
-			et: persist.NewEpochTable(i, env.Cfg.ETEntries),
-		}
-		c := m.cores[i]
+		c := &asapCore{bufCPU: newBufCPU(i, env), m: m}
+		m.cores[i] = c
 		c.eligibleFn = func(e *persist.PBEntry) bool { return m.eligible(c, e) }
 	}
 	return m
@@ -195,29 +165,11 @@ func (m *ASAP) epochSafe(c *asapCore, ts uint64) bool {
 // the buffer is full (cyclesStalled).
 func (m *ASAP) Store(core int, line mem.Line, token mem.Token, done func()) {
 	c := m.cores[core]
-	m.tryEnqueue(c, line, token, done)
-}
-
-func (m *ASAP) tryEnqueue(c *asapCore, line mem.Line, token mem.Token, done func()) {
-	ts := c.et.CurrentTS()
-	coalesced, ok := c.pb.Enqueue(line, token, ts)
-	if !ok {
-		began := m.env.Eng.Now()
-		//asaplint:ignore alloccheck PB-full stall continuation; stalls are the cold path by definition
-		c.storeWaiters = append(c.storeWaiters, func() {
-			m.hc.cyclesStalled.Add(uint64(m.env.Eng.Now() - began))
-			m.tryEnqueue(c, line, token, done)
-		})
+	if !c.enqueue(&m.env, &m.hc, line, token) {
+		c.store.park(line, token, done, m.env.Eng.Now())
 		m.kickFlusher(c)
 		return
 	}
-	m.hc.entriesInserted.Inc()
-	if coalesced {
-		m.hc.pbCoalesced.Inc()
-	} else {
-		c.et.Current().Unacked++
-	}
-	m.env.Ledger.RecordWrite(persist.EpochID{Thread: c.id, TS: ts}, line, token)
 	m.kickFlusher(c)
 	done() //asaplint:ignore alloccheck done is the core's resume callback, built once at machine construction
 }
@@ -227,12 +179,7 @@ func (m *ASAP) tryEnqueue(c *asapCore, line mem.Line, token mem.Token, done func
 func (m *ASAP) Ofence(core int, done func()) {
 	c := m.cores[core]
 	if c.et.Full() {
-		began := m.env.Eng.Now()
-		//asaplint:ignore alloccheck epoch-table-full stall continuation; stalls are the cold path by definition
-		c.fenceWaiter = func() {
-			m.hc.ofenceStalled.Add(uint64(m.env.Eng.Now() - began))
-			m.Ofence(core, done)
-		}
+		c.fence = fenceWaiter{done: done, began: m.env.Eng.Now()}
 		return
 	}
 	closed := c.et.CurrentTS()
@@ -246,31 +193,18 @@ func (m *ASAP) Ofence(core int, done func()) {
 func (m *ASAP) Dfence(core int, done func()) {
 	c := m.cores[core]
 	if c.et.Full() {
-		began := m.env.Eng.Now()
-		//asaplint:ignore alloccheck epoch-table-full stall continuation; stalls are the cold path by definition
-		c.fenceWaiter = func() {
-			m.hc.ofenceStalled.Add(uint64(m.env.Eng.Now() - began))
-			m.Dfence(core, done)
-		}
+		c.fence = fenceWaiter{done: done, began: m.env.Eng.Now(), dfence: true}
 		return
 	}
 	closed := c.et.CurrentTS()
 	c.et.Advance()
 	m.traceEpoch(c, "epoch close")
 	m.tryCommit(c, closed)
-	m.waitAllCommitted(c, done)
-}
-
-func (m *ASAP) waitAllCommitted(c *asapCore, done func()) {
 	if c.et.AllCommitted() {
 		done() //asaplint:ignore alloccheck done is the core's resume callback, built once at machine construction
 		return
 	}
-	if c.dfenceWaiter != nil {
-		panic("asap: overlapping dfence waits on one core")
-	}
-	c.dfenceStart = m.env.Eng.Now()
-	c.dfenceWaiter = done
+	c.dfence.park(done, m.env.Eng.Now())
 	m.kickFlusher(c)
 }
 
@@ -374,8 +308,7 @@ func (m *ASAP) PBBlocked(core int) bool {
 	if c.pb.Empty() {
 		return false
 	}
-	return c.pb.NextWaiting(func(e *persist.PBEntry) bool { return m.eligible(c, e) }) == nil &&
-		c.pb.Inflight() == 0
+	return c.pb.NextWaiting(c.eligibleFn) == nil && c.pb.Inflight() == 0
 }
 
 // eligible implements the flush policy: eager mode issues anything not
@@ -470,12 +403,8 @@ func (m *ASAP) onFlushReply(c *asapCore, id uint64, res persist.FlushResult) {
 		}
 		m.tryCommit(c, e.TS)
 	}
-	// Freed buffer space: wake one stalled store.
-	if len(c.storeWaiters) > 0 {
-		w := c.storeWaiters[0]
-		c.storeWaiters = c.storeWaiters[1:]
-		w() //asaplint:ignore alloccheck stall-resume continuation: only runs after a store already stalled (cold by definition)
-	}
+	// Freed buffer space: retry the stalled store.
+	c.store.retry(m, c.id, &m.hc, m.env.Eng.Now())
 	m.kickFlusher(c)
 }
 
@@ -538,17 +467,7 @@ func (m *ASAP) finishCommit(c *asapCore, ent *persist.ETEntry) {
 	// Committing may unblock: the next epoch's commit, a stalled ofence
 	// (table space freed), a dfence, and the flusher (epochs became safe).
 	m.tryCommit(c, ts+1)
-	if c.fenceWaiter != nil && !c.et.Full() {
-		w := c.fenceWaiter
-		c.fenceWaiter = nil
-		w() //asaplint:ignore alloccheck stall-resume continuation: only runs after an ofence already stalled (cold by definition)
-	}
-	if c.dfenceWaiter != nil && c.et.AllCommitted() {
-		w := c.dfenceWaiter
-		c.dfenceWaiter = nil
-		m.hc.dfenceStalled.Add(uint64(m.env.Eng.Now() - c.dfenceStart))
-		w() //asaplint:ignore alloccheck stall-resume continuation: only runs after a dfence already stalled (cold by definition)
-	}
+	c.wakeFences(m, &m.hc, m.env.Eng.Now())
 	m.kickFlusher(c)
 }
 

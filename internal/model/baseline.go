@@ -46,6 +46,16 @@ func newBaseline(env Env) *Baseline {
 	return m
 }
 
+// FlushReply receives a controller's ACK for one clwb of core arg.
+func (m *Baseline) FlushReply(arg uint64, res persist.FlushResult) {
+	if res != persist.FlushAck {
+		panic("baseline: controller NACKed a flush")
+	}
+	c := m.cores[arg]
+	c.outstanding--
+	m.onAck(c)
+}
+
 // Name returns "baseline".
 func (m *Baseline) Name() string { return NameBaseline }
 
@@ -132,14 +142,7 @@ func (m *Baseline) issueFlushes(c *baseCore) {
 			Token: tok,
 			Epoch: persist.EpochID{Thread: c.id, TS: c.ts},
 		}
-		//asaplint:ignore alloccheck closure-form flush reply; typed-event conversion of this model is tracked roadmap debt
-		m.env.MCs[m.env.IL.Home(line)].SendFlush(pkt, func(res persist.FlushResult) {
-			if res != persist.FlushAck {
-				panic("baseline: controller NACKed a flush")
-			}
-			c.outstanding--
-			m.onAck(c)
-		})
+		m.env.MCs[m.env.IL.Home(line)].SendFlushOp(pkt, m, uint64(c.id), false)
 	}
 }
 
@@ -153,7 +156,7 @@ func (m *Baseline) onAck(c *baseCore) {
 		c.fenceDone = nil
 		m.hc.dfenceStalled.Add(uint64(m.env.Eng.Now() - c.fenceStart))
 		m.commitEpoch(c)
-		done()
+		done() //asaplint:ignore alloccheck done is the core's resume callback, built once at machine construction
 	}
 }
 

@@ -42,10 +42,16 @@ type specCore struct {
 
 	committedTS  uint64
 	recoverUntil sim.Cycles
+	// delayed is the resume callback parked until recoverUntil.
+	delayed func()
 
-	dfenceWaiter func()
-	dfenceStart  sim.Cycles
+	dfence dfenceWaiter
 }
+
+// Typed-event kinds dispatched through PMEMSpec.RunEvent.
+const (
+	specEvResume = iota // software recovery done: resume core arg
+)
 
 type specEpoch struct {
 	perMC   []int
@@ -59,6 +65,28 @@ func newPMEMSpec(env Env) *PMEMSpec {
 		m.cores[i] = &specCore{id: i, ts: 1, outstanding: make(map[uint64]*specEpoch)}
 	}
 	return m
+}
+
+// RunEvent dispatches the model's typed events.
+func (m *PMEMSpec) RunEvent(kind int, arg uint64) {
+	if kind != specEvResume {
+		panic("pmem_spec: unknown event kind")
+	}
+	c := m.cores[arg]
+	done := c.delayed
+	c.delayed = nil
+	done() //asaplint:ignore alloccheck resumes a core held by software recovery (misspeculation only)
+}
+
+// FlushReply receives a controller's answer for one flush; arg packs the
+// flush's epoch above its controller and core bytes. PMEM-Spec only counts
+// the answer: a controller without a recovery table always ACKs.
+func (m *PMEMSpec) FlushReply(arg uint64, _ persist.FlushResult) {
+	c := m.cores[arg&0xFF]
+	ep := c.outstanding[arg>>16]
+	ep.perMC[(arg>>8)&0xFF]--
+	ep.pending--
+	m.retire(c)
 }
 
 // Name returns "pmem_spec".
@@ -82,11 +110,11 @@ func (m *PMEMSpec) EpochCommitted(e persist.EpochID) bool {
 // delay defers done until any pending software recovery completes.
 func (m *PMEMSpec) delay(c *specCore, done func()) {
 	if now := m.env.Eng.Now(); now < c.recoverUntil {
-		m.env.Eng.At(c.recoverUntil, done)
+		c.delayed = done
+		m.env.Eng.ScheduleOp(c.recoverUntil, m, specEvResume, uint64(c.id))
 		return
 	}
-	//asaplint:ignore alloccheck resume/done callback invocation; the callback's creation site carries the alloc proof
-	done()
+	done() //asaplint:ignore alloccheck done is the core's resume callback, built once at machine construction
 }
 
 // Store flushes immediately — fire and forget. The core pays no ordering
@@ -101,9 +129,9 @@ func (m *PMEMSpec) Store(core int, line mem.Line, token mem.Token, done func()) 
 	mcID := m.env.IL.Home(line)
 	ep := c.outstanding[ts]
 	if ep == nil {
-		//asaplint:ignore alloccheck legacy model per-record allocation; typed-event/pooling conversion is tracked roadmap debt
+		//asaplint:ignore alloccheck one record per epoch with flushes in flight, dropped at retire; related-work model outside the zero-alloc gate
 		ep = &specEpoch{perMC: make([]int, m.env.Cfg.MCs)}
-		//asaplint:ignore alloccheck legacy model map bounded by workload footprint; outside the zero-alloc gate
+		//asaplint:ignore alloccheck related-work model map bounded by workload footprint; outside the zero-alloc gate
 		c.outstanding[ts] = ep
 	}
 	ep.perMC[mcID]++
@@ -126,13 +154,11 @@ func (m *PMEMSpec) Store(core int, line mem.Line, token mem.Token, done func()) 
 		}
 	}
 
+	if ts >= 1<<48 {
+		panic("pmem_spec: epoch does not fit a flush reply arg")
+	}
 	pkt := persist.FlushPacket{Line: line, Token: token, Epoch: persist.EpochID{Thread: core, TS: ts}}
-	//asaplint:ignore alloccheck closure-form flush reply; typed-event conversion of this legacy model is tracked roadmap debt
-	m.env.MCs[mcID].SendFlush(pkt, func(persist.FlushResult) {
-		ep.perMC[mcID]--
-		ep.pending--
-		m.retire(c)
-	})
+	m.env.MCs[mcID].SendFlushOp(pkt, m, ts<<16|uint64(mcID)<<8|uint64(core), false)
 	m.delay(c, done)
 }
 
@@ -151,12 +177,10 @@ func (m *PMEMSpec) retire(c *specCore) {
 		c.committedTS = next
 		m.env.Ledger.EpochCommitted(persist.EpochID{Thread: c.id, TS: next})
 	}
-	if c.dfenceWaiter != nil && m.drained(c) {
-		w := c.dfenceWaiter
-		c.dfenceWaiter = nil
-		m.hc.dfenceStalled.Add(uint64(m.env.Eng.Now() - c.dfenceStart))
-		//asaplint:ignore alloccheck resume/done callback invocation; the callback's creation site carries the alloc proof
-		w()
+	if w := c.dfence; w.done != nil && m.drained(c) {
+		c.dfence = dfenceWaiter{}
+		m.hc.dfenceStalled.Add(uint64(m.env.Eng.Now() - w.began))
+		m.delay(c, w.done)
 	}
 }
 
@@ -190,12 +214,7 @@ func (m *PMEMSpec) Dfence(core int, done func()) {
 		m.delay(c, done)
 		return
 	}
-	if c.dfenceWaiter != nil {
-		panic("pmem_spec: overlapping dfence waits on one core")
-	}
-	c.dfenceStart = m.env.Eng.Now()
-	//asaplint:ignore alloccheck closure-form event scheduling; typed-event conversion of this legacy model is tracked roadmap debt
-	c.dfenceWaiter = func() { m.delay(c, done) }
+	c.dfence.park(done, m.env.Eng.Now())
 }
 
 // Release behaves like an ofence (flushes are already in flight).

@@ -4,7 +4,6 @@ import (
 	"asap/internal/cache"
 	"asap/internal/mem"
 	"asap/internal/persist"
-	"asap/internal/sim"
 	"asap/internal/stats"
 )
 
@@ -37,17 +36,30 @@ type StrandWeaver struct {
 
 type swCore struct {
 	id int
+	m  *StrandWeaver // back-pointer for the FlushReplier implementation
 	pb *persist.PersistBuffer
 
 	strands []*swStrand
 	cur     int // active strand index
 	nextTS  uint64
 
+	// heads lists the strand-head epochs free to flush, refreshed before
+	// each flush-eligibility scan; eligibleFn tests membership and is
+	// built once so the scan does not create a closure.
+	heads      []uint64
+	eligibleFn func(*persist.PBEntry) bool
+
 	flushScheduled bool
-	storeWaiters   []func()
-	dfenceWaiter   func()
-	dfenceStart    sim.Cycles
+	store          storeWaiter
+	dfence         dfenceWaiter
 }
+
+// Typed-event kinds dispatched through StrandWeaver.RunEvent.
+const (
+	swEvKick    = iota // flusher wake-up for core arg (clears flushScheduled)
+	swEvPace           // next paced flush issue for core arg
+	swEvResolve        // commit notify; arg is the packed dependent EpochID
+)
 
 type swStrand struct {
 	epochs []*swEpoch // FIFO: oldest first; last entry is open
@@ -72,16 +84,43 @@ func newStrandWeaver(env Env) *StrandWeaver {
 	}
 	m.cores = make([]*swCore, env.Cfg.Cores)
 	for i := range m.cores {
-		m.cores[i] = newSWCore(i, env.Cfg.PBEntries)
+		c := &swCore{id: i, m: m, pb: persist.NewPersistBuffer(env.Cfg.PBEntries), nextTS: 2}
+		c.strands = []*swStrand{{epochs: []*swEpoch{{ts: 1}}}}
+		c.eligibleFn = func(e *persist.PBEntry) bool {
+			for _, ts := range c.heads {
+				if ts == e.TS {
+					return true
+				}
+			}
+			return false
+		}
+		m.cores[i] = c
 	}
 	return m
 }
 
-func newSWCore(id, pbEntries int) *swCore {
-	c := &swCore{id: id, pb: persist.NewPersistBuffer(pbEntries), nextTS: 1}
-	c.strands = []*swStrand{{epochs: []*swEpoch{{ts: 1}}}}
-	c.nextTS = 2
-	return c
+// RunEvent dispatches the model's typed events.
+func (m *StrandWeaver) RunEvent(kind int, arg uint64) {
+	switch kind {
+	case swEvKick:
+		c := m.cores[arg]
+		c.flushScheduled = false
+		m.flushOne(c)
+	case swEvPace:
+		m.flushOne(m.cores[arg])
+	case swEvResolve:
+		m.resolve(unpackEpochArg(arg))
+	default:
+		panic("strandweaver: unknown event kind")
+	}
+}
+
+// FlushReply receives the controller's ACK for the PB entry arg.
+func (c *swCore) FlushReply(arg uint64, res persist.FlushResult) {
+	if res != persist.FlushAck {
+		panic("strandweaver: controller NACKed a safe flush")
+	}
+	c.m.onAck(c, arg)
 }
 
 // Name returns "strandweaver".
@@ -96,7 +135,7 @@ func (m *StrandWeaver) Strand(core int) {
 	c := m.cores[core]
 	// Close the current strand's open epoch so it can commit.
 	m.closeOpen(c, c.strands[c.cur])
-	//asaplint:ignore alloccheck legacy model bookkeeping growth, bounded by workload footprint; outside the zero-alloc gate
+	//asaplint:ignore alloccheck related-work model bookkeeping growth, bounded by workload footprint; outside the zero-alloc gate
 	c.strands = append(c.strands, &swStrand{epochs: []*swEpoch{{ts: c.nextTS}}})
 	c.nextTS++
 	c.cur = len(c.strands) - 1
@@ -139,12 +178,7 @@ func (m *StrandWeaver) tryEnqueue(c *swCore, line mem.Line, token mem.Token, don
 	e := c.open()
 	coalesced, ok := c.pb.Enqueue(line, token, e.ts)
 	if !ok {
-		began := m.env.Eng.Now()
-		//asaplint:ignore alloccheck closure-form event scheduling; typed-event conversion of this legacy model is tracked roadmap debt
-		c.storeWaiters = append(c.storeWaiters, func() {
-			m.hc.cyclesStalled.Add(uint64(m.env.Eng.Now() - began))
-			m.tryEnqueue(c, line, token, done)
-		})
+		c.store.park(line, token, done, m.env.Eng.Now())
 		m.kickFlusher(c)
 		return
 	}
@@ -156,8 +190,7 @@ func (m *StrandWeaver) tryEnqueue(c *swCore, line mem.Line, token mem.Token, don
 	}
 	m.env.Ledger.RecordWrite(persist.EpochID{Thread: c.id, TS: e.ts}, line, token)
 	m.kickFlusher(c)
-	//asaplint:ignore alloccheck resume/done callback invocation; the callback's creation site carries the alloc proof
-	done()
+	done() //asaplint:ignore alloccheck done is the core's resume callback, built once at machine construction
 }
 
 // closeOpen closes the open epoch of strand s and opens its successor.
@@ -167,7 +200,7 @@ func (m *StrandWeaver) closeOpen(c *swCore, s *swStrand) {
 		return
 	}
 	open.closed = true
-	//asaplint:ignore alloccheck legacy model bookkeeping growth, bounded by workload footprint; outside the zero-alloc gate
+	//asaplint:ignore alloccheck related-work model bookkeeping growth, bounded by workload footprint; outside the zero-alloc gate
 	s.epochs = append(s.epochs, &swEpoch{ts: c.nextTS})
 	c.nextTS++
 }
@@ -177,8 +210,7 @@ func (m *StrandWeaver) Ofence(core int, done func()) {
 	c := m.cores[core]
 	m.closeOpen(c, c.strands[c.cur])
 	m.tryCommitAll(c)
-	//asaplint:ignore alloccheck resume/done callback invocation; the callback's creation site carries the alloc proof
-	done()
+	done() //asaplint:ignore alloccheck done is the core's resume callback, built once at machine construction
 }
 
 // Dfence waits until every strand has drained.
@@ -189,15 +221,10 @@ func (m *StrandWeaver) Dfence(core int, done func()) {
 	}
 	m.tryCommitAll(c)
 	if m.drained(c) {
-		//asaplint:ignore alloccheck resume/done callback invocation; the callback's creation site carries the alloc proof
-		done()
+		done() //asaplint:ignore alloccheck done is the core's resume callback, built once at machine construction
 		return
 	}
-	if c.dfenceWaiter != nil {
-		panic("strandweaver: overlapping dfence waits on one core")
-	}
-	c.dfenceStart = m.env.Eng.Now()
-	c.dfenceWaiter = done
+	c.dfence.park(done, m.env.Eng.Now())
 	m.kickFlusher(c)
 }
 
@@ -245,10 +272,10 @@ func (m *StrandWeaver) Conflict(core int, cf *cache.Conflict) {
 	m.closeOpen(c, c.strands[c.cur])
 	dst := c.open()
 	if !m.committed[src] {
-		//asaplint:ignore alloccheck legacy model bookkeeping growth, bounded by workload footprint; outside the zero-alloc gate
+		//asaplint:ignore alloccheck related-work model bookkeeping growth, bounded by workload footprint; outside the zero-alloc gate
 		dst.deps = append(dst.deps, src)
 		id := persist.EpochID{Thread: core, TS: dst.ts}
-		//asaplint:ignore alloccheck legacy model map bounded by workload footprint; outside the zero-alloc gate
+		//asaplint:ignore alloccheck related-work model map bounded by workload footprint; outside the zero-alloc gate
 		m.waiters[src] = append(m.waiters[src], id)
 		m.env.Ledger.DepCreated(src, id)
 		m.hc.depsRecorded.Inc()
@@ -275,28 +302,26 @@ func (m *StrandWeaver) PBBlocked(core int) bool {
 	if c.pb.Empty() {
 		return false
 	}
-	return c.pb.NextWaiting(m.eligible(c)) == nil && c.pb.Inflight() == 0
+	return m.nextFlushable(c) == nil && c.pb.Inflight() == 0
 }
 
 func (m *StrandWeaver) PBHasLine(core int, line mem.Line) bool {
 	return m.cores[core].pb.HasLine(line)
 }
 
-// eligible: within each strand only the oldest epoch flushes (conservative),
-// but all strands flush concurrently — the design's point.
-func (m *StrandWeaver) eligible(c *swCore) func(*persist.PBEntry) bool {
-	heads := make(map[uint64]bool)
+// nextFlushable: within each strand only the oldest epoch flushes
+// (conservative), but all strands flush concurrently — the design's point.
+func (m *StrandWeaver) nextFlushable(c *swCore) *persist.PBEntry {
+	c.heads = c.heads[:0]
 	for _, s := range c.strands {
 		if len(s.epochs) == 0 {
 			continue
 		}
-		head := s.epochs[0]
-		if head.depsResolved() {
-			heads[head.ts] = true
+		if head := s.epochs[0]; head.depsResolved() {
+			c.heads = append(c.heads, head.ts) //asaplint:ignore alloccheck bounded by the live strand count; the backing array is reused
 		}
 	}
-	//asaplint:ignore alloccheck closure-form event scheduling; typed-event conversion of this legacy model is tracked roadmap debt
-	return func(e *persist.PBEntry) bool { return heads[e.TS] }
+	return c.pb.NextWaiting(c.eligibleFn)
 }
 
 func (m *StrandWeaver) kickFlusher(c *swCore) {
@@ -304,18 +329,14 @@ func (m *StrandWeaver) kickFlusher(c *swCore) {
 		return
 	}
 	c.flushScheduled = true
-	//asaplint:ignore alloccheck closure-form event scheduling; typed-event conversion of this legacy model is tracked roadmap debt
-	m.env.Eng.After(1, func() {
-		c.flushScheduled = false
-		m.flushOne(c)
-	})
+	m.env.Eng.AfterOp(1, m, swEvKick, uint64(c.id))
 }
 
 func (m *StrandWeaver) flushOne(c *swCore) {
 	if c.pb.Inflight() >= m.env.Cfg.PBMaxInflight {
 		return
 	}
-	e := c.pb.NextWaiting(m.eligible(c))
+	e := m.nextFlushable(c)
 	if e == nil {
 		return
 	}
@@ -325,17 +346,9 @@ func (m *StrandWeaver) flushOne(c *swCore) {
 		Token: e.Token,
 		Epoch: persist.EpochID{Thread: c.id, TS: e.TS},
 	}
-	id := e.ID
-	//asaplint:ignore alloccheck closure-form flush reply; typed-event conversion of this legacy model is tracked roadmap debt
-	m.env.MCs[m.env.IL.Home(e.Line)].SendFlush(pkt, func(res persist.FlushResult) {
-		if res != persist.FlushAck {
-			panic("strandweaver: controller NACKed a safe flush")
-		}
-		m.onAck(c, id)
-	})
+	m.env.MCs[m.env.IL.Home(e.Line)].SendFlushOp(pkt, c, e.ID, false)
 	if c.pb.Inflight() < m.env.Cfg.PBMaxInflight {
-		//asaplint:ignore alloccheck closure-form event scheduling; typed-event conversion of this legacy model is tracked roadmap debt
-		m.env.Eng.After(flushIssuePace, func() { m.flushOne(c) })
+		m.env.Eng.AfterOp(flushIssuePace, m, swEvPace, uint64(c.id))
 	}
 }
 
@@ -348,11 +361,7 @@ func (m *StrandWeaver) onAck(c *swCore, id uint64) {
 		ep.unacked--
 	}
 	m.tryCommitAll(c)
-	if len(c.storeWaiters) > 0 {
-		w := c.storeWaiters[0]
-		c.storeWaiters = c.storeWaiters[1:]
-		w()
-	}
+	c.store.retry(m, c.id, &m.hc, m.env.Eng.Now())
 	m.kickFlusher(c)
 }
 
@@ -371,16 +380,14 @@ func (m *StrandWeaver) tryCommitAll(c *swCore) {
 				}
 				s.epochs = s.epochs[1:]
 				epoch := persist.EpochID{Thread: c.id, TS: head.ts}
-				//asaplint:ignore alloccheck legacy model map bounded by workload footprint; outside the zero-alloc gate
+				//asaplint:ignore alloccheck related-work model map bounded by workload footprint; outside the zero-alloc gate
 				m.committed[epoch] = true
 				m.hc.epochsCommitted.Inc()
 				m.env.Ledger.EpochCommitted(epoch)
 				if deps := m.waiters[epoch]; len(deps) > 0 {
 					delete(m.waiters, epoch)
 					for _, dst := range deps {
-						dst := dst
-						//asaplint:ignore alloccheck closure-form event scheduling; typed-event conversion of this legacy model is tracked roadmap debt
-						m.env.Eng.After(m.env.Cfg.MsgLat, func() { m.resolve(dst) })
+						m.env.Eng.AfterOp(m.env.Cfg.MsgLat, m, swEvResolve, packEpochArg(dst))
 					}
 				}
 				progress = true
@@ -393,7 +400,7 @@ func (m *StrandWeaver) tryCommitAll(c *swCore) {
 	live := c.strands[:0]
 	for i, s := range c.strands {
 		if i == c.cur || len(s.epochs) != 1 || s.epochs[0].closed || s.epochs[0].unacked != 0 {
-			//asaplint:ignore alloccheck legacy model bookkeeping growth, bounded by workload footprint; outside the zero-alloc gate
+			//asaplint:ignore alloccheck related-work model bookkeeping growth, bounded by workload footprint; outside the zero-alloc gate
 			live = append(live, s)
 		}
 	}
@@ -409,12 +416,8 @@ func (m *StrandWeaver) tryCommitAll(c *swCore) {
 		}
 	}
 
-	if c.dfenceWaiter != nil && m.drained(c) {
-		w := c.dfenceWaiter
-		c.dfenceWaiter = nil
-		m.hc.dfenceStalled.Add(uint64(m.env.Eng.Now() - c.dfenceStart))
-		//asaplint:ignore alloccheck resume/done callback invocation; the callback's creation site carries the alloc proof
-		w()
+	if c.dfence.done != nil && m.drained(c) {
+		c.dfence.finish(&m.hc, m.env.Eng.Now())
 	}
 	m.kickFlusher(c)
 }

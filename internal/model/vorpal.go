@@ -21,7 +21,7 @@ import (
 type Vorpal struct {
 	env   Env
 	hc    hotCounters
-	cores []*vorpalCore
+	cores []*bufCPU
 
 	// persisted[t][mc] = highest epoch of thread t fully persisted at mc.
 	persisted [][]uint64
@@ -35,7 +35,23 @@ type Vorpal struct {
 	deps map[persist.EpochID][]persist.EpochID
 
 	broadcastOn bool
+	// arrivals are flushes on their FlushLat trip to a controller.
+	arrivals persist.FIFO[vorpalArrival]
 }
+
+// vorpalArrival is one flush in transit to controller mc.
+type vorpalArrival struct {
+	mc int
+	fl vorpalFlush
+}
+
+// Typed-event kinds dispatched through Vorpal.RunEvent.
+const (
+	vorpalEvKick   = iota // flusher wake-up for core arg (clears flushScheduled)
+	vorpalEvPace          // next paced flush issue for core arg
+	vorpalEvArrive        // the oldest in-transit flush reaches its controller
+	vorpalEvTick          // periodic inter-controller clock broadcast
+)
 
 type vorpalFlush struct {
 	line   mem.Line
@@ -46,40 +62,51 @@ type vorpalFlush struct {
 	parked sim.Cycles
 }
 
-type vorpalCore struct {
-	id int
-	pb *persist.PersistBuffer
-	et *persist.EpochTable
-
-	// unpersisted[ts] counts writes of epoch ts not yet persisted at any
-	// controller (parked or in flight).
-	flushScheduled bool
-	storeWaiters   []func()
-	fenceWaiter    func()
-	dfenceWaiter   func()
-	dfenceStart    sim.Cycles
-}
-
 // vorpalBroadcastInterval is the inter-controller clock broadcast period;
 // the paper notes it bounds forward progress.
 const vorpalBroadcastInterval sim.Cycles = 500
 
 func newVorpal(env Env) *Vorpal {
 	m := &Vorpal{env: env, hc: newHotCounters(env.St)}
-	m.cores = make([]*vorpalCore, env.Cfg.Cores)
+	m.cores = make([]*bufCPU, env.Cfg.Cores)
 	m.persisted = make([][]uint64, env.Cfg.Cores)
 	m.visible = make([]uint64, env.Cfg.Cores)
 	m.pending = make([][]vorpalFlush, env.Cfg.MCs)
 	m.deps = make(map[persist.EpochID][]persist.EpochID)
 	for i := range m.cores {
-		m.cores[i] = &vorpalCore{
-			id: i,
-			pb: persist.NewPersistBuffer(env.Cfg.PBEntries),
-			et: persist.NewEpochTable(i, env.Cfg.ETEntries),
-		}
+		c := newBufCPU(i, env)
+		m.cores[i] = &c
 		m.persisted[i] = make([]uint64, env.Cfg.MCs)
 	}
 	return m
+}
+
+// RunEvent dispatches the model's typed events.
+func (m *Vorpal) RunEvent(kind int, arg uint64) {
+	switch kind {
+	case vorpalEvKick:
+		c := m.cores[arg]
+		c.flushScheduled = false
+		m.flushOne(c)
+	case vorpalEvPace:
+		m.flushOne(m.cores[arg])
+	case vorpalEvArrive:
+		a := m.arrivals.Pop()
+		m.arrive(a.mc, a.fl)
+	case vorpalEvTick:
+		m.tick()
+	default:
+		panic("vorpal: unknown event kind")
+	}
+}
+
+// FlushReply receives a controller's ACK for a released flush; arg packs
+// the persist buffer entry ID above the core's low byte.
+func (m *Vorpal) FlushReply(arg uint64, res persist.FlushResult) {
+	if res != persist.FlushAck {
+		panic("vorpal: controller NACKed a flush")
+	}
+	m.onPersisted(int(arg&0xFF), arg>>8)
 }
 
 // Name returns "vorpal".
@@ -107,79 +134,44 @@ func (m *Vorpal) EpochCommitted(e persist.EpochID) bool {
 // happens controller-side).
 func (m *Vorpal) Store(core int, line mem.Line, token mem.Token, done func()) {
 	c := m.cores[core]
-	m.tryEnqueue(c, line, token, done)
-}
-
-func (m *Vorpal) tryEnqueue(c *vorpalCore, line mem.Line, token mem.Token, done func()) {
-	ts := c.et.CurrentTS()
-	coalesced, ok := c.pb.Enqueue(line, token, ts)
-	if !ok {
-		began := m.env.Eng.Now()
-		//asaplint:ignore alloccheck closure-form event scheduling; typed-event conversion of this legacy model is tracked roadmap debt
-		c.storeWaiters = append(c.storeWaiters, func() {
-			m.hc.cyclesStalled.Add(uint64(m.env.Eng.Now() - began))
-			m.tryEnqueue(c, line, token, done)
-		})
+	if !c.enqueue(&m.env, &m.hc, line, token) {
+		c.store.park(line, token, done, m.env.Eng.Now())
 		m.kickFlusher(c)
 		return
 	}
-	m.hc.entriesInserted.Inc()
 	m.hc.vorpalTagBytes.Add(uint64(m.env.Cfg.Cores * 2)) // vector timestamp per store
-	if coalesced {
-		m.hc.pbCoalesced.Inc()
-	} else {
-		c.et.Current().Unacked++
-	}
-	m.env.Ledger.RecordWrite(persist.EpochID{Thread: c.id, TS: ts}, line, token)
 	m.kickFlusher(c)
-	//asaplint:ignore alloccheck resume/done callback invocation; the callback's creation site carries the alloc proof
-	done()
+	done() //asaplint:ignore alloccheck done is the core's resume callback, built once at machine construction
 }
 
 // Ofence closes the epoch.
 func (m *Vorpal) Ofence(core int, done func()) {
 	c := m.cores[core]
 	if c.et.Full() {
-		began := m.env.Eng.Now()
-		//asaplint:ignore alloccheck closure-form event scheduling; typed-event conversion of this legacy model is tracked roadmap debt
-		c.fenceWaiter = func() {
-			m.hc.ofenceStalled.Add(uint64(m.env.Eng.Now() - began))
-			m.Ofence(core, done)
-		}
+		c.fence = fenceWaiter{done: done, began: m.env.Eng.Now()}
 		return
 	}
 	closed := c.et.CurrentTS()
 	c.et.Advance()
 	m.tryRetire(c, closed)
-	//asaplint:ignore alloccheck resume/done callback invocation; the callback's creation site carries the alloc proof
-	done()
+	done() //asaplint:ignore alloccheck done is the core's resume callback, built once at machine construction
 }
 
 // Dfence waits for everything to persist at the controllers.
 func (m *Vorpal) Dfence(core int, done func()) {
 	c := m.cores[core]
 	if c.et.Full() {
-		began := m.env.Eng.Now()
-		//asaplint:ignore alloccheck closure-form event scheduling; typed-event conversion of this legacy model is tracked roadmap debt
-		c.fenceWaiter = func() {
-			m.hc.ofenceStalled.Add(uint64(m.env.Eng.Now() - began))
-			m.Dfence(core, done)
-		}
+		c.fence = fenceWaiter{done: done, began: m.env.Eng.Now(), dfence: true}
 		return
 	}
 	closed := c.et.CurrentTS()
 	c.et.Advance()
 	m.tryRetire(c, closed)
 	if c.et.AllCommitted() {
-		//asaplint:ignore alloccheck resume/done callback invocation; the callback's creation site carries the alloc proof
-		done()
+		done() //asaplint:ignore alloccheck done is the core's resume callback, built once at machine construction
 		return
 	}
-	if c.dfenceWaiter != nil {
-		panic("vorpal: overlapping dfence waits on one core")
-	}
-	c.dfenceStart = m.env.Eng.Now()
-	c.dfenceWaiter = done
+	c.dfence.park(done, m.env.Eng.Now())
 	m.kickFlusher(c)
 }
 
@@ -222,7 +214,7 @@ func (m *Vorpal) Conflict(core int, cf *cache.Conflict) {
 	c.et.Advance()
 	m.tryRetire(c, prev)
 	dst := persist.EpochID{Thread: core, TS: c.et.CurrentTS()}
-	//asaplint:ignore alloccheck legacy model map bounded by workload footprint; outside the zero-alloc gate
+	//asaplint:ignore alloccheck related-work model map bounded by workload footprint; outside the zero-alloc gate
 	m.deps[dst] = append(m.deps[dst], src)
 	m.env.Ledger.DepCreated(src, dst)
 	m.hc.depsRecorded.Inc()
@@ -240,26 +232,21 @@ func (m *Vorpal) PBHasLine(core int, line mem.Line) bool {
 	return m.cores[core].pb.HasLine(line)
 }
 
-func (m *Vorpal) kickFlusher(c *vorpalCore) {
+func (m *Vorpal) kickFlusher(c *bufCPU) {
 	if c.flushScheduled {
 		return
 	}
 	c.flushScheduled = true
 	m.ensureBroadcast()
-	//asaplint:ignore alloccheck closure-form event scheduling; typed-event conversion of this legacy model is tracked roadmap debt
-	m.env.Eng.After(1, func() {
-		c.flushScheduled = false
-		m.flushOne(c)
-	})
+	m.env.Eng.AfterOp(1, m, vorpalEvKick, uint64(c.id))
 }
 
 // flushOne issues eagerly in FIFO order; the controller does the delaying.
-func (m *Vorpal) flushOne(c *vorpalCore) {
+func (m *Vorpal) flushOne(c *bufCPU) {
 	if c.pb.Inflight() >= m.env.Cfg.PBMaxInflight {
 		return
 	}
-	//asaplint:ignore alloccheck closure-form event scheduling; typed-event conversion of this legacy model is tracked roadmap debt
-	e := c.pb.NextWaiting(func(*persist.PBEntry) bool { return true })
+	e := c.pb.NextWaitingAny()
 	if e == nil {
 		return
 	}
@@ -270,11 +257,10 @@ func (m *Vorpal) flushOne(c *vorpalCore) {
 		epoch: persist.EpochID{Thread: c.id, TS: e.TS},
 		pbID:  e.ID, core: c.id,
 	}
-	//asaplint:ignore alloccheck closure-form event scheduling; typed-event conversion of this legacy model is tracked roadmap debt
-	m.env.Eng.After(m.env.Cfg.FlushLat, func() { m.arrive(mcID, fl) })
+	m.arrivals.Push(vorpalArrival{mc: mcID, fl: fl})
+	m.env.Eng.AfterOp(m.env.Cfg.FlushLat, m, vorpalEvArrive, 0)
 	if c.pb.Inflight() < m.env.Cfg.PBMaxInflight {
-		//asaplint:ignore alloccheck closure-form event scheduling; typed-event conversion of this legacy model is tracked roadmap debt
-		m.env.Eng.After(flushIssuePace, func() { m.flushOne(c) })
+		m.env.Eng.AfterOp(flushIssuePace, m, vorpalEvPace, uint64(c.id))
 	}
 }
 
@@ -285,7 +271,7 @@ func (m *Vorpal) arrive(mcID int, fl vorpalFlush) {
 		return
 	}
 	fl.parked = m.env.Eng.Now()
-	m.pending[mcID] = append(m.pending[mcID], fl)
+	m.pending[mcID] = append(m.pending[mcID], fl) //asaplint:ignore alloccheck parked flushes bounded by the persist buffers' capacity; the backing array is reused
 	m.hc.vorpalParked.Inc()
 }
 
@@ -304,21 +290,19 @@ func (m *Vorpal) safeToPersist(e persist.EpochID) bool {
 	return true
 }
 
+// persistNow hands a flush to controller mcID; the ACK comes back through
+// FlushReply.
 func (m *Vorpal) persistNow(mcID int, fl vorpalFlush) {
-	mc := m.env.MCs[mcID]
-	mc.Receive(persist.FlushPacket{Line: fl.line, Token: fl.token, Epoch: fl.epoch},
-		//asaplint:ignore alloccheck closure-form event scheduling; typed-event conversion of this legacy model is tracked roadmap debt
-		func(res persist.FlushResult) {
-			if res != persist.FlushAck {
-				panic("vorpal: controller NACKed a flush")
-			}
-			m.onPersisted(mcID, fl)
-		})
+	if fl.pbID >= 1<<56 {
+		panic("vorpal: persist buffer entry id does not fit a reply arg")
+	}
+	pkt := persist.FlushPacket{Line: fl.line, Token: fl.token, Epoch: fl.epoch}
+	m.env.MCs[mcID].ReceiveOp(pkt, m, fl.pbID<<8|uint64(fl.core))
 }
 
-func (m *Vorpal) onPersisted(mcID int, fl vorpalFlush) {
-	c := m.cores[fl.core]
-	e, ok := c.pb.Ack(fl.pbID)
+func (m *Vorpal) onPersisted(core int, pbID uint64) {
+	c := m.cores[core]
+	e, ok := c.pb.Ack(pbID)
 	if !ok {
 		panic("vorpal: ACK for unknown persist buffer entry")
 	}
@@ -326,16 +310,12 @@ func (m *Vorpal) onPersisted(mcID int, fl vorpalFlush) {
 		ent.Unacked--
 		m.tryRetire(c, e.TS)
 	}
-	if len(c.storeWaiters) > 0 {
-		w := c.storeWaiters[0]
-		c.storeWaiters = c.storeWaiters[1:]
-		w()
-	}
+	c.store.retry(m, c.id, &m.hc, m.env.Eng.Now())
 	m.kickFlusher(c)
 }
 
 // tryRetire marks an epoch persisted once closed, drained and in order.
-func (m *Vorpal) tryRetire(c *vorpalCore, ts uint64) {
+func (m *Vorpal) tryRetire(c *bufCPU, ts uint64) {
 	ent, ok := c.et.Get(ts)
 	if !ok || ent.Committed {
 		return
@@ -351,19 +331,7 @@ func (m *Vorpal) tryRetire(c *vorpalCore, ts uint64) {
 	m.env.Ledger.EpochCommitted(persist.EpochID{Thread: c.id, TS: ts})
 	c.et.Retire(ts)
 	m.tryRetire(c, ts+1)
-	if c.fenceWaiter != nil && !c.et.Full() {
-		w := c.fenceWaiter
-		c.fenceWaiter = nil
-		//asaplint:ignore alloccheck resume/done callback invocation; the callback's creation site carries the alloc proof
-		w()
-	}
-	if c.dfenceWaiter != nil && c.et.AllCommitted() {
-		w := c.dfenceWaiter
-		c.dfenceWaiter = nil
-		m.hc.dfenceStalled.Add(uint64(m.env.Eng.Now() - c.dfenceStart))
-		//asaplint:ignore alloccheck resume/done callback invocation; the callback's creation site carries the alloc proof
-		w()
-	}
+	c.wakeFences(m, &m.hc, m.env.Eng.Now())
 }
 
 // ensureBroadcast starts the periodic inter-controller clock exchange.
@@ -372,42 +340,42 @@ func (m *Vorpal) ensureBroadcast() {
 		return
 	}
 	m.broadcastOn = true
-	var tick func()
-	//asaplint:ignore alloccheck closure-form event scheduling; typed-event conversion of this legacy model is tracked roadmap debt
-	tick = func() {
-		m.hc.vorpalBroadcasts.Inc()
-		// Update every thread's globally visible clock.
-		for t := range m.visible {
-			min := ^uint64(0)
-			for _, p := range m.persisted[t] {
-				if p < min {
-					min = p
-				}
+	m.env.Eng.AfterOp(vorpalBroadcastInterval, m, vorpalEvTick, 0)
+}
+
+// tick is one clock broadcast: publish every thread's globally visible
+// clock, release the parked flushes that became safe, and re-arm while
+// work remains.
+func (m *Vorpal) tick() {
+	m.hc.vorpalBroadcasts.Inc()
+	for t := range m.visible {
+		min := ^uint64(0)
+		for _, p := range m.persisted[t] {
+			if p < min {
+				min = p
 			}
-			m.visible[t] = min
 		}
-		// Release parked flushes that became safe.
-		for mcID := range m.pending {
-			var rest []vorpalFlush
-			for _, fl := range m.pending[mcID] {
-				if m.safeToPersist(fl.epoch) {
-					m.hc.vorpalParkCycles.Add(uint64(m.env.Eng.Now() - fl.parked))
-					m.persistNow(mcID, fl)
-				} else {
-					rest = append(rest, fl)
-				}
-			}
-			m.pending[mcID] = rest
-		}
-		if m.busy() {
-			m.env.Eng.After(vorpalBroadcastInterval, tick)
-		} else {
-			// Nothing in flight: stop ticking so the engine can drain;
-			// kickFlusher restarts the broadcast on new work.
-			m.broadcastOn = false
-		}
+		m.visible[t] = min
 	}
-	m.env.Eng.After(vorpalBroadcastInterval, tick)
+	for mcID, pend := range m.pending {
+		rest := pend[:0]
+		for _, fl := range pend {
+			if m.safeToPersist(fl.epoch) {
+				m.hc.vorpalParkCycles.Add(uint64(m.env.Eng.Now() - fl.parked))
+				m.persistNow(mcID, fl)
+			} else {
+				rest = append(rest, fl) //asaplint:ignore alloccheck in-place filter: rest never outgrows pend, whose backing array it shares
+			}
+		}
+		m.pending[mcID] = rest
+	}
+	if m.busy() {
+		m.env.Eng.AfterOp(vorpalBroadcastInterval, m, vorpalEvTick, 0)
+	} else {
+		// Nothing in flight: stop ticking so the engine can drain;
+		// kickFlusher restarts the broadcast on new work.
+		m.broadcastOn = false
+	}
 }
 
 // busy reports whether any controller or persist buffer holds work.

@@ -56,7 +56,7 @@ func BenchmarkMCFlushCommit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ep := EpochID{Thread: 0, TS: uint64(i + 1)}
 		mc.ReceiveOp(FlushPacket{Line: mem.Line(i % 128), Token: mem.Token(i), Epoch: ep, Early: true}, r, uint64(i))
-		mc.Commit(ep, done)
+		commitNow(mc, ep, done)
 		eng.Run(0)
 	}
 	if r.acks+r.nacks != b.N {

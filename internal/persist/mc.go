@@ -14,34 +14,28 @@ import (
 type mcJob struct {
 	isCommit bool
 
-	// flush fields. Exactly one of reply (legacy closure form) or replier
-	// (typed form, arg passed back verbatim) is set.
+	// flush fields: the reply goes to replier with replyArg verbatim.
 	pkt      FlushPacket
-	reply    func(FlushResult)
 	replier  FlushReplier
 	replyArg uint64
 	// retried marks a NACK-retried flush in transit (SendFlushOp): its
 	// arrival lifts the line's Bloom reservation.
 	retried bool
 
-	// commit fields. Exactly one of commitDone (legacy closure form) or
-	// commitAcker (typed form) is set.
+	// commit fields.
 	epoch       EpochID
-	commitDone  func()
 	commitAcker CommitAcker
 }
 
 // CommitAcker receives the controller's commit ACK for an epoch sent via
-// SendCommit — the typed analogue of Commit's done closure, letting the
-// per-epoch commit path schedule without allocating.
+// SendCommit.
 type CommitAcker interface {
 	CommitAck(e EpochID)
 }
 
 // FlushReplier receives the controller's ACK/NACK for a flush submitted via
-// ReceiveOp. arg is the caller's value from ReceiveOp, typically a persist
-// buffer entry ID — the typed analogue of Receive's reply closure, letting
-// hot callers avoid a per-flush allocation.
+// SendFlushOp or ReceiveOp. arg is the caller's value from the send,
+// typically a persist buffer entry ID.
 type FlushReplier interface {
 	FlushReply(arg uint64, res FlushResult)
 }
@@ -63,13 +57,11 @@ const (
 	contCommitNext        // continue the commit job's delay replay
 )
 
-// mcReply is one queued ACK/NACK/commit-done delivery. All replies travel
-// at the same MsgLat delay, so a FIFO ring dispatched by typed events
-// preserves the exact delivery order the per-reply closures produced.
+// mcReply is one queued flush ACK/NACK or commit ACK. All replies travel
+// at the same MsgLat delay, so a FIFO dispatched by typed events delivers
+// them in send order.
 type mcReply struct {
 	replier  FlushReplier
-	legacy   func(FlushResult)
-	commit   func()
 	acker    CommitAcker
 	ackEpoch EpochID
 	arg      uint64
@@ -87,7 +79,7 @@ type mcReply struct {
 // jobs behind it queue up.
 //
 // Models reach the controller through its Send methods, which model the
-// on-chip trip: a flush arrives FlushLat after SendFlush/SendFlushOp, a
+// on-chip trip: a flush arrives FlushLat after SendFlushOp, a
 // commit message MsgLat after SendCommit, and every reply travels back at
 // MsgLat. All steady-state work is scheduled through the engine's
 // typed-event form with the controller itself as receiver, and every queue
@@ -106,14 +98,14 @@ type MC struct {
 	// In-flight messages from the persist path. All sends of one kind
 	// share one latency, so each fifo pops in send order exactly when its
 	// typed event fires.
-	flushIn  fifo[mcJob]
-	commitIn fifo[mcJob]
+	flushIn  FIFO[mcJob]
+	commitIn FIFO[mcJob]
 
-	queue   fifo[mcJob] // jobs waiting for the front-end
+	queue   FIFO[mcJob] // jobs waiting for the front-end
 	serving bool
 	cur     mcJob // job in service (valid while serving)
 
-	replies fifo[mcReply] // in-flight MsgLat replies
+	replies FIFO[mcReply] // in-flight MsgLat replies
 
 	// commit replay progress (valid while serving a commit job)
 	delays   []*DelayRecord
@@ -186,14 +178,7 @@ func (mc *MC) AttachTracer(tr obs.Tracer) {
 //
 //asap:hot flush issue: every persist-buffer drain goes through here
 func (mc *MC) SendFlushOp(pkt FlushPacket, rp FlushReplier, arg uint64, retried bool) {
-	mc.flushIn.push(mcJob{pkt: pkt, replier: rp, replyArg: arg, retried: retried})
-	mc.eng.AfterOp(mc.cfg.FlushLat, mc, mcEvFlushIn, 0)
-}
-
-// SendFlush is the closure-reply form of SendFlushOp, used by the non-ASAP
-// models.
-func (mc *MC) SendFlush(pkt FlushPacket, reply func(FlushResult)) {
-	mc.flushIn.push(mcJob{pkt: pkt, reply: reply})
+	mc.flushIn.Push(mcJob{pkt: pkt, replier: rp, replyArg: arg, retried: retried})
 	mc.eng.AfterOp(mc.cfg.FlushLat, mc, mcEvFlushIn, 0)
 }
 
@@ -202,19 +187,14 @@ func (mc *MC) SendFlush(pkt FlushPacket, reply func(FlushResult)) {
 //
 //asap:hot commit issue: every epoch commit goes through here
 func (mc *MC) SendCommit(e EpochID, acker CommitAcker) {
-	mc.commitIn.push(mcJob{isCommit: true, epoch: e, commitAcker: acker})
+	mc.commitIn.Push(mcJob{isCommit: true, epoch: e, commitAcker: acker})
 	mc.eng.AfterOp(mc.cfg.MsgLat, mc, mcEvCommitIn, 0)
 }
 
-// Receive accepts a flush packet now, with no PB→MC latency (the Send
-// methods model it). reply is invoked (after the on-chip message latency)
-// with ACK or NACK.
-func (mc *MC) Receive(pkt FlushPacket, reply func(FlushResult)) {
-	mc.enqueueFlush(mcJob{pkt: pkt, reply: reply})
-}
-
-// ReceiveOp is the typed form of Receive: the result is delivered through
-// rp.FlushReply(arg, res) instead of a per-flush closure.
+// ReceiveOp accepts a flush packet now, with no PB→MC latency (the Send
+// methods model it): a model that delays flushes on the controller side
+// hands them over here. The ACK/NACK comes back through
+// rp.FlushReply(arg, res) after the on-chip message latency.
 func (mc *MC) ReceiveOp(pkt FlushPacket, rp FlushReplier, arg uint64) {
 	mc.enqueueFlush(mcJob{pkt: pkt, replier: rp, replyArg: arg})
 }
@@ -225,20 +205,12 @@ func (mc *MC) enqueueFlush(j mcJob) {
 	} else {
 		mc.hc.safeFlushes.Inc()
 	}
-	mc.queue.push(j)
-	mc.serve()
-}
-
-// Commit accepts an epoch-commit message now, with no message latency
-// (SendCommit models it); done is the ACK, invoked after the table has been
-// cleaned and any delay records processed (§V-C).
-func (mc *MC) Commit(e EpochID, done func()) {
-	mc.queue.push(mcJob{isCommit: true, epoch: e, commitDone: done})
+	mc.queue.Push(j)
 	mc.serve()
 }
 
 // QueueLen reports front-end jobs waiting to be served (for tests).
-func (mc *MC) QueueLen() int { return mc.queue.len() }
+func (mc *MC) QueueLen() int { return mc.queue.Len() }
 
 // Idle reports whether the controller has no queued work, no job in
 // service, and an empty WPQ.
@@ -247,11 +219,11 @@ func (mc *MC) Idle() bool {
 }
 
 func (mc *MC) serve() {
-	if mc.serving || mc.queue.len() == 0 {
+	if mc.serving || mc.queue.Len() == 0 {
 		return
 	}
 	mc.serving = true
-	mc.cur = mc.queue.pop()
+	mc.cur = mc.queue.Pop()
 	mc.eng.AfterOp(mcServeCost, mc, mcEvServe, 0)
 }
 
@@ -270,16 +242,11 @@ func (mc *MC) RunEvent(kind int, arg uint64) {
 			mc.processFlush()
 		}
 	case mcEvReply:
-		r := mc.replies.pop()
-		switch {
-		case r.acker != nil:
+		r := mc.replies.Pop()
+		if r.acker != nil {
 			r.acker.CommitAck(r.ackEpoch)
-		case r.commit != nil:
-			r.commit() //asaplint:ignore alloccheck legacy closure-form reply, used only by package tests; models use the typed repliers
-		case r.replier != nil:
+		} else {
 			r.replier.FlushReply(r.arg, r.res)
-		default:
-			r.legacy(r.res) //asaplint:ignore alloccheck legacy closure-form reply, used only by package tests; models use the typed repliers
 		}
 	case mcEvXPRead:
 		mc.readDone(mem.Token(arg))
@@ -291,13 +258,13 @@ func (mc *MC) RunEvent(kind int, arg uint64) {
 	case mcEvDrain:
 		mc.drainOne()
 	case mcEvFlushIn:
-		j := mc.flushIn.pop()
+		j := mc.flushIn.Pop()
 		if j.retried && mc.Bloom != nil {
 			mc.Bloom.Remove(j.pkt.Line)
 		}
 		mc.enqueueFlush(j)
 	case mcEvCommitIn:
-		mc.queue.push(mc.commitIn.pop())
+		mc.queue.Push(mc.commitIn.Pop())
 		mc.serve()
 	default:
 		panic("persist: unknown MC event kind")
@@ -310,20 +277,20 @@ func (mc *MC) finishJob() {
 		mc.trc.End(mc.track)
 	}
 	mc.serving = false
-	mc.cur = mcJob{} // release the job's closures; also keeps idle controllers checkpointable
+	mc.cur = mcJob{} // release the job's reply targets
 	mc.serve()
 }
 
 // sendReply queues r for delivery MsgLat cycles from now.
 func (mc *MC) sendReply(r mcReply) {
-	mc.replies.push(r)
+	mc.replies.Push(r)
 	mc.eng.AfterOp(mc.cfg.MsgLat, mc, mcEvReply, 0)
 }
 
 // ack ACKs the flush in service and moves on.
 func (mc *MC) ack() {
 	j := &mc.cur
-	mc.sendReply(mcReply{replier: j.replier, legacy: j.reply, arg: j.replyArg, res: FlushAck})
+	mc.sendReply(mcReply{replier: j.replier, arg: j.replyArg, res: FlushAck})
 	mc.finishJob()
 }
 
@@ -337,7 +304,7 @@ func (mc *MC) nack() {
 	if mc.Bloom != nil {
 		mc.Bloom.Add(j.pkt.Line)
 	}
-	mc.sendReply(mcReply{replier: j.replier, legacy: j.reply, arg: j.replyArg, res: FlushNack})
+	mc.sendReply(mcReply{replier: j.replier, arg: j.replyArg, res: FlushNack})
 	mc.finishJob()
 }
 
@@ -482,8 +449,7 @@ func (mc *MC) commitNext() {
 				mc.RT.RecycleDelays(mc.delays)
 			}
 			mc.delays = nil
-			mc.sendReply(mcReply{commit: mc.cur.commitDone,
-				acker: mc.cur.commitAcker, ackEpoch: mc.cur.epoch})
+			mc.sendReply(mcReply{acker: mc.cur.commitAcker, ackEpoch: mc.cur.epoch})
 			mc.finishJob()
 			return
 		}
@@ -609,22 +575,27 @@ var DebugLine mem.Line
 // DebugLineFrom converts a raw line number for test diagnostics.
 func DebugLineFrom(l uint64) mem.Line { return mem.Line(l) }
 
-// fifo is a head-indexed queue. Popped slots are zeroed so delivered
-// closures are collectable, and the backing array rewinds whenever the
+// FIFO is a head-indexed queue. Popped slots are zeroed so delivered
+// callbacks are collectable, and the backing array rewinds whenever the
 // queue drains, so a queue at steady-state capacity appends without
-// allocating.
-type fifo[T any] struct {
+// allocating. In-flight messages that all travel one latency sit in a
+// FIFO, popped when their typed event fires: events of one delay dispatch
+// in schedule order, so the pop order is the send order.
+type FIFO[T any] struct {
 	buf  []T
 	head int
 }
 
-func (f *fifo[T]) len() int { return len(f.buf) - f.head }
+// Len returns the number of queued elements.
+func (f *FIFO[T]) Len() int { return len(f.buf) - f.head }
 
-func (f *fifo[T]) push(v T) {
+// Push appends v.
+func (f *FIFO[T]) Push(v T) {
 	f.buf = append(f.buf, v) //asaplint:ignore alloccheck queue reaches steady-state capacity, then appends reuse it
 }
 
-func (f *fifo[T]) pop() T {
+// Pop removes and returns the oldest element.
+func (f *FIFO[T]) Pop() T {
 	v := f.buf[f.head]
 	var zero T
 	f.buf[f.head] = zero

@@ -15,10 +15,30 @@ func newTestMC(spec bool) (*MC, *sim.Engine) {
 	return NewMC(0, eng, cfg, spec, stats.New()), eng
 }
 
+// replyFunc adapts a test closure to FlushReplier.
+type replyFunc func(FlushResult)
+
+func (f replyFunc) FlushReply(_ uint64, res FlushResult) { f(res) }
+
+// ackFunc adapts a test closure to CommitAcker.
+type ackFunc func()
+
+func (f ackFunc) CommitAck(EpochID) { f() }
+
+// receive hands pkt to mc with no PB→MC latency; fn gets the answer.
+func receive(mc *MC, pkt FlushPacket, fn func(FlushResult)) { mc.ReceiveOp(pkt, replyFunc(fn), 0) }
+
+// commitNow queues a commit of epoch e with no message latency (SendCommit
+// adds MsgLat); fn runs on its ACK.
+func commitNow(mc *MC, e EpochID, fn func()) {
+	mc.queue.Push(mcJob{isCommit: true, epoch: e, commitAcker: ackFunc(fn)})
+	mc.serve()
+}
+
 func sendFlush(t *testing.T, mc *MC, eng *sim.Engine, pkt FlushPacket) FlushResult {
 	t.Helper()
 	var got FlushResult = -1
-	mc.Receive(pkt, func(r FlushResult) { got = r })
+	receive(mc, pkt, func(r FlushResult) { got = r })
 	eng.Run(0)
 	if got == -1 {
 		t.Fatal("no reply from controller")
@@ -81,7 +101,7 @@ func TestMCCommitProcessesDelays(t *testing.T) {
 
 	// Commit the delaying epoch first: delay -> undo safe value.
 	done := false
-	mc.Commit(e(2, 1), func() { done = true })
+	commitNow(mc, e(2, 1), func() { done = true })
 	eng.Run(0)
 	if !done {
 		t.Fatal("commit not acknowledged")
@@ -90,7 +110,7 @@ func TestMCCommitProcessesDelays(t *testing.T) {
 		t.Fatal("delay did not update the undo record")
 	}
 	// Commit the undo creator: record deleted, memory keeps 3.
-	mc.Commit(e(1, 1), func() {})
+	commitNow(mc, e(1, 1), func() {})
 	eng.Run(0)
 	if _, ok := mc.RT.Undo(5); ok {
 		t.Fatal("undo should be gone")
@@ -104,9 +124,9 @@ func TestMCDelayWithoutUndoPersistsOnCommit(t *testing.T) {
 	mc, eng := newTestMC(true)
 	sendFlush(t, mc, eng, FlushPacket{Line: 5, Token: 3, Epoch: e(1, 1), Early: true})
 	sendFlush(t, mc, eng, FlushPacket{Line: 5, Token: 4, Epoch: e(2, 1), Early: true}) // delayed
-	mc.Commit(e(1, 1), func() {})                                                      // undo deleted
+	commitNow(mc, e(1, 1), func() {})                                                  // undo deleted
 	eng.Run(0)
-	mc.Commit(e(2, 1), func() {}) // delay now persists to media
+	commitNow(mc, e(2, 1), func() {}) // delay now persists to media
 	eng.Run(0)
 	if mc.NVM.Peek(5) != 4 {
 		t.Fatalf("delayed write lost: %d", mc.NVM.Peek(5))
@@ -151,7 +171,7 @@ func TestMCWPQBackpressure(t *testing.T) {
 	mc := NewMC(0, eng, cfg, false, stats.New())
 	acks := 0
 	for i := 0; i < 8; i++ {
-		mc.Receive(FlushPacket{Line: mem.Line(100 + i), Token: mem.Token(i + 1), Epoch: e(0, 1)},
+		receive(mc, FlushPacket{Line: mem.Line(100 + i), Token: mem.Token(i + 1), Epoch: e(0, 1)},
 			func(FlushResult) { acks++ })
 	}
 	eng.Run(0)
@@ -172,8 +192,8 @@ func TestMCUndoReadUsesWPQAndXPBuffer(t *testing.T) {
 	mc, eng := newTestMC(true)
 	// Prime: a safe write parks in the WPQ briefly; an immediate early
 	// write to the same line must read the pending value, not media.
-	mc.Receive(FlushPacket{Line: 4, Token: 10, Epoch: e(0, 1)}, func(FlushResult) {})
-	mc.Receive(FlushPacket{Line: 4, Token: 11, Epoch: e(0, 2), Early: true}, func(FlushResult) {})
+	receive(mc, FlushPacket{Line: 4, Token: 10, Epoch: e(0, 1)}, func(FlushResult) {})
+	receive(mc, FlushPacket{Line: 4, Token: 11, Epoch: e(0, 2), Early: true}, func(FlushResult) {})
 	eng.Run(0)
 	if u, ok := mc.RT.Undo(4); !ok || u.Safe != 10 {
 		t.Fatalf("undo should hold the WPQ value 10: %+v", u)
@@ -206,7 +226,7 @@ func TestMCSameEpochSafeAfterEarly(t *testing.T) {
 	mc, eng := newTestMC(true)
 	sendFlush(t, mc, eng, FlushPacket{Line: 8, Token: 100, Epoch: e(0, 5), Early: true})
 	sendFlush(t, mc, eng, FlushPacket{Line: 8, Token: 101, Epoch: e(0, 5)}) // safe, same epoch
-	mc.Commit(e(0, 5), func() {})
+	commitNow(mc, e(0, 5), func() {})
 	eng.Run(0)
 	if got := mc.NVM.Peek(8); got != 101 {
 		t.Fatalf("memory = %d, want the epoch's newest write 101", got)
@@ -223,12 +243,12 @@ func TestMCStaleDelayReplay(t *testing.T) {
 	E, F := e(0, 1), e(0, 2)
 	sendFlush(t, mc, eng, FlushPacket{Line: 8, Token: 10, Epoch: E, Early: true}) // undo(E), mem=10
 	sendFlush(t, mc, eng, FlushPacket{Line: 8, Token: 20, Epoch: F, Early: true}) // delayed behind undo(E)
-	mc.Commit(E, func() {})
+	commitNow(mc, E, func() {})
 	eng.Run(0)
 	// F writes the line again: must coalesce into F's delay record, not
 	// start a new speculative chain that the stale delay would clobber.
 	sendFlush(t, mc, eng, FlushPacket{Line: 8, Token: 30, Epoch: F, Early: true})
-	mc.Commit(F, func() {})
+	commitNow(mc, F, func() {})
 	eng.Run(0)
 	if got := mc.NVM.Peek(8); got != 30 {
 		t.Fatalf("memory = %d, want F's newest write 30", got)

@@ -154,6 +154,31 @@ func (pb *PersistBuffer) NextWaiting(pred func(*PBEntry) bool) *PBEntry {
 	return nil
 }
 
+// NextWaitingIn returns the oldest waiting entry of epoch ts, or nil: the
+// conservative flushing of the buffered epoch models, which issue only the
+// oldest epoch's writes.
+//
+//asap:hot flush-issue path, polled once per drained entry
+func (pb *PersistBuffer) NextWaitingIn(ts uint64) *PBEntry {
+	for _, e := range pb.entries {
+		if e.State == PBWaiting && e.TS == ts {
+			return e
+		}
+	}
+	return nil
+}
+
+// NextWaitingAny returns the oldest waiting entry, or nil: eager FIFO
+// issue.
+func (pb *PersistBuffer) NextWaitingAny() *PBEntry {
+	for _, e := range pb.entries {
+		if e.State == PBWaiting {
+			return e
+		}
+	}
+	return nil
+}
+
 // MarkInflight transitions a waiting entry to inflight with the given
 // speculation mark.
 //

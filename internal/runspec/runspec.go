@@ -231,8 +231,13 @@ func (s RunSpec) Hash() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	sum := sha256.Sum256(c)
-	return hex.EncodeToString(sum[:]), nil
+	return HashOf(c), nil
+}
+
+// HashOf returns the content address of canonical spec bytes.
+func HashOf(canonical []byte) string {
+	sum := sha256.Sum256(canonical)
+	return hex.EncodeToString(sum[:])
 }
 
 // MustHash is Hash for specs built in-process (every field of a RunSpec

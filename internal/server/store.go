@@ -1,6 +1,8 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"io/fs"
 	"os"
@@ -20,7 +22,13 @@ import (
 // writes go to a temp file in the same directory and rename into place,
 // so concurrent writers race benignly (both bodies are byte-identical by
 // determinism) and a crashed writer leaves only a temp file, never a
-// torn entry. First write wins; Put of an existing hash is a no-op.
+// torn entry. First write wins; Put of an existing intact hash is a no-op.
+//
+// Entries are checked on every read: an entry whose envelope names
+// another hash, whose embedded spec does not re-hash to its address, or
+// that does not decode at all (a flipped or truncated file) is a miss, so
+// the run is recomputed and its Put replaces the bad file. A damaged
+// entry is never served.
 type Store struct {
 	dir string
 }
@@ -46,7 +54,8 @@ func (st *Store) path(hash string) string {
 	return filepath.Join(st.dir, hash[:2], hash+".json")
 }
 
-// Get returns the stored envelope for hash, or ok=false if absent.
+// Get returns the stored envelope for hash, or ok=false if absent or
+// damaged.
 func (st *Store) Get(hash string) (body []byte, ok bool, err error) {
 	if !runspec.ValidHash(hash) {
 		return nil, false, fmt.Errorf("server: store: malformed hash %q", hash)
@@ -58,20 +67,39 @@ func (st *Store) Get(hash string) (body []byte, ok bool, err error) {
 	if err != nil {
 		return nil, false, fmt.Errorf("server: store: %w", err)
 	}
+	if !intact(hash, b) {
+		return nil, false, nil
+	}
 	return b, true, nil
 }
 
-// Put files body under hash, atomically. An existing entry is left
+// intact reports whether body is an envelope filed under the right
+// address: its hash field is hash, and its embedded spec re-hashes to it.
+// The envelope embeds the canonical spec bytes indented, so compacting
+// them restores exactly the bytes the address was computed from.
+func intact(hash string, body []byte) bool {
+	var env struct {
+		Hash string          `json:"hash"`
+		Spec json.RawMessage `json:"spec"`
+	}
+	if json.Unmarshal(body, &env) != nil || env.Hash != hash {
+		return false
+	}
+	var canon bytes.Buffer
+	return json.Compact(&canon, env.Spec) == nil && runspec.HashOf(canon.Bytes()) == hash
+}
+
+// Put files body under hash, atomically. An intact existing entry is left
 // untouched: results are deterministic, so the bytes already there are
-// the bytes being offered.
+// the bytes being offered. A damaged one is replaced.
 func (st *Store) Put(hash string, body []byte) error {
 	if !runspec.ValidHash(hash) {
 		return fmt.Errorf("server: store: malformed hash %q", hash)
 	}
-	final := st.path(hash)
-	if _, err := os.Stat(final); err == nil {
-		return nil // first write won already
+	if _, ok, err := st.Get(hash); err != nil || ok {
+		return err // first write won already
 	}
+	final := st.path(hash)
 	if err := os.MkdirAll(filepath.Dir(final), 0o755); err != nil {
 		return fmt.Errorf("server: store: %w", err)
 	}

@@ -69,7 +69,7 @@ func TestDifferentialDeterminism(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			eng := NewEngine()
+			eng := newTestEngine()
 			gotNew := runDifferentialWorkload(eng, seed, func() { eng.Run(0) })
 
 			ref := &refEngine{}
@@ -92,7 +92,7 @@ func TestDifferentialDeterminism(t *testing.T) {
 // dispatching the engine one Step at a time, so the Run and Step paths are
 // proven to share dispatch semantics.
 func TestDifferentialDeterminismStepped(t *testing.T) {
-	eng := NewEngine()
+	eng := newTestEngine()
 	gotNew := runDifferentialWorkload(eng, 7, func() {
 		for eng.Step() {
 		}

@@ -15,13 +15,12 @@ const CyclesPerNS = 2
 // NS converts nanoseconds to cycles.
 func NS(ns uint64) Cycles { return ns * CyclesPerNS }
 
-// EventOp is the typed-event form of a scheduled callback: a long-lived
-// component (machine, model, memory controller) implements RunEvent and
-// dispatches on kind, with arg carrying a small payload such as a core
-// index. Scheduling through ScheduleOp/AfterOp stores the receiver in the
-// event slot directly, so the hot paths schedule without allocating the
-// per-event closure the fn form costs. kind values are private to each
-// receiver; the engine never interprets them.
+// EventOp is a scheduled callback's receiver: a long-lived component
+// (machine, model, memory controller) implements RunEvent and dispatches on
+// kind, with arg carrying a small payload such as a core index. Scheduling
+// through ScheduleOp/AfterOp allocates nothing: the event names its
+// receiver by index. kind values are private to each receiver; the engine
+// never interprets them.
 type EventOp interface {
 	RunEvent(kind int, arg uint64)
 }
@@ -30,20 +29,18 @@ type EventOp interface {
 // two events scheduled for the same cycle fire in schedule order.
 //
 // The struct is deliberately pointer-free: the heap permutes events
-// constantly (every push and pop moves several), and if the element held a
-// closure or interface directly, every one of those moves would run a GC
-// write barrier — measured at a double-digit share of whole-machine time.
-// Instead an event holds indices: opIdx into the engine's registered
-// receiver table (typed form) or fnIdx into the in-flight closure table
-// (closure form, opIdx < 0). A 40-byte pointer-free element makes heap
-// sifts plain memmoves and packs more of the frontier per cache line.
+// constantly (every push and pop moves several), and if the element held an
+// interface directly, every one of those moves would run a GC write
+// barrier — measured at a double-digit share of whole-machine time.
+// Instead an event holds opIdx, an index into the engine's registered
+// receiver table. A 32-byte pointer-free element makes heap sifts plain
+// memmoves and packs two events per cache line.
 type event struct {
 	when  Cycles
 	seq   uint64
 	arg   uint64
 	kind  int32
-	opIdx int32 // index into Engine.ops; -1 for closure events
-	fnIdx int32 // index into Engine.fns (closure events only)
+	opIdx int32 // index into Engine.ops
 }
 
 // Engine is a single-threaded discrete-event simulator. Components schedule
@@ -74,12 +71,6 @@ type Engine struct {
 	// of receivers (machine, model, controllers), so the lookup in
 	// ScheduleOp is a short pointer-compare scan.
 	ops []EventOp
-
-	// fns holds in-flight closure callbacks; fnFree recycles dispatched
-	// slots. A slot is cleared at dispatch so the closure (and everything
-	// it captures) is collectable as soon as it has run.
-	fns    []func()
-	fnFree []int32
 }
 
 // NewEngine returns an engine with the clock at cycle zero.
@@ -90,34 +81,9 @@ func NewEngine() *Engine {
 // Now reports the current simulation time in cycles.
 func (e *Engine) Now() Cycles { return e.now }
 
-// At schedules fn to run at absolute cycle when. Scheduling in the past is a
-// programming error and panics: it would silently corrupt causality.
-func (e *Engine) At(when Cycles, fn func()) {
-	if when < e.now {
-		panic("sim: event scheduled in the past")
-	}
-	var idx int32
-	if n := len(e.fnFree); n > 0 {
-		idx = e.fnFree[n-1]
-		e.fnFree = e.fnFree[:n-1]
-		e.fns[idx] = fn
-	} else {
-		idx = int32(len(e.fns))
-		e.fns = append(e.fns, fn) //asaplint:ignore alloccheck free-list miss; bounded by peak in-flight closure events
-	}
-	e.push(event{when: when, seq: e.seq, opIdx: -1, fnIdx: idx})
-	e.seq++
-}
-
-// After schedules fn to run delay cycles from now.
-func (e *Engine) After(delay Cycles, fn func()) {
-	e.At(e.now+delay, fn)
-}
-
-// ScheduleOp schedules the typed event (op, kind, arg) at absolute cycle
-// when. It is the allocation-free counterpart of At: op is stored in the
-// event slot as an interface over an existing pointer, so no closure is
-// created. Scheduling in the past panics, as with At.
+// ScheduleOp schedules the event (op, kind, arg) at absolute cycle when.
+// Scheduling in the past is a programming error and panics: it would
+// silently corrupt causality.
 func (e *Engine) ScheduleOp(when Cycles, op EventOp, kind int, arg uint64) {
 	if when < e.now {
 		panic("sim: event scheduled in the past")
@@ -139,7 +105,7 @@ func (e *Engine) opIndex(op EventOp) int32 {
 	return int32(len(e.ops) - 1)
 }
 
-// AfterOp schedules the typed event (op, kind, arg) delay cycles from now.
+// AfterOp schedules the event (op, kind, arg) delay cycles from now.
 func (e *Engine) AfterOp(delay Cycles, op EventOp, kind int, arg uint64) {
 	e.ScheduleOp(e.now+delay, op, kind, arg)
 }
@@ -219,29 +185,12 @@ func (e *Engine) JumpTo(when Cycles) {
 func (e *Engine) RegisterOp(op EventOp) { e.opIndex(op) }
 
 // Quiesce verifies the engine holds no state a checkpoint image cannot
-// carry — pending closure-form events, live closure slots, or a dispatch
-// hook — and canonicalizes the closure tables to empty on success. Closure
-// events capture arbitrary environments the serializer cannot reconstruct;
-// typed events (ScheduleOp) are pointer-free and serialize by receiver
-// index. A machine that schedules closures is still checkpointable at any
-// cycle where none are in flight, which is what the quiescence search in
-// cmd/asapsim looks for.
+// carry. Pending events are pointer-free and serialize by receiver index,
+// so the one such state is an attached dispatch hook.
 func (e *Engine) Quiesce() error {
-	for i := range e.events {
-		if e.events[i].opIdx < 0 {
-			return fmt.Errorf("sim: closure event pending at cycle %d (not quiescent)", e.events[i].when)
-		}
-	}
-	for i, fn := range e.fns {
-		if fn != nil {
-			return fmt.Errorf("sim: closure slot %d live (not quiescent)", i)
-		}
-	}
 	if e.onDispatch != nil {
 		return fmt.Errorf("sim: dispatch hook attached")
 	}
-	e.fns = e.fns[:0]
-	e.fnFree = e.fnFree[:0]
 	return nil
 }
 
@@ -266,14 +215,7 @@ func (e *Engine) dispatch() {
 	if e.onDispatch != nil {
 		e.onDispatch(next.when) //asaplint:ignore alloccheck nil-guarded observability hook; off on measured runs
 	}
-	if next.opIdx >= 0 {
-		e.ops[next.opIdx].RunEvent(int(next.kind), next.arg)
-	} else {
-		fn := e.fns[next.fnIdx]
-		e.fns[next.fnIdx] = nil
-		e.fnFree = append(e.fnFree, next.fnIdx) //asaplint:ignore alloccheck free list bounded by peak closure events; backing array reaches it once
-		fn()                                    //asaplint:ignore alloccheck closure-form events are the cold-path API; schedcheck keeps them out of converted packages
-	}
+	e.ops[next.opIdx].RunEvent(int(next.kind), next.arg)
 }
 
 // less orders heap slots by (when, seq).
@@ -296,9 +238,8 @@ func (e *Engine) push(ev event) {
 	}
 }
 
-// popMin removes the root. Events are pointer-free (closures live in
-// Engine.fns and are cleared at dispatch), so the vacated tail slot needs
-// no zeroing for the collector's sake.
+// popMin removes the root. Events are pointer-free, so the vacated tail
+// slot needs no zeroing for the collector's sake.
 func (e *Engine) popMin() {
 	n := len(e.events) - 1
 	e.events[0] = e.events[n]

@@ -5,8 +5,33 @@ import (
 	"testing/quick"
 )
 
+// testEngine lets the tests schedule plain closures: each closure gets a
+// slot, and a typed event on the testEngine itself names the slot. The
+// engine stays closure-free; only the test side keeps the callbacks.
+type testEngine struct {
+	*Engine
+	fns []func()
+}
+
+func newTestEngine() *testEngine { return &testEngine{Engine: NewEngine()} }
+
+func (e *testEngine) RunEvent(_ int, arg uint64) {
+	fn := e.fns[arg]
+	e.fns[arg] = nil
+	fn()
+}
+
+// At schedules fn at absolute cycle when.
+func (e *testEngine) At(when Cycles, fn func()) {
+	e.fns = append(e.fns, fn)
+	e.ScheduleOp(when, e, 0, uint64(len(e.fns)-1))
+}
+
+// After schedules fn delay cycles from now.
+func (e *testEngine) After(delay Cycles, fn func()) { e.At(e.Now()+delay, fn) }
+
 func TestEventOrdering(t *testing.T) {
-	e := NewEngine()
+	e := newTestEngine()
 	var got []int
 	e.After(30, func() { got = append(got, 3) })
 	e.After(10, func() { got = append(got, 1) })
@@ -21,7 +46,7 @@ func TestEventOrdering(t *testing.T) {
 }
 
 func TestTieBreakIsScheduleOrder(t *testing.T) {
-	e := NewEngine()
+	e := newTestEngine()
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
@@ -36,7 +61,7 @@ func TestTieBreakIsScheduleOrder(t *testing.T) {
 }
 
 func TestNestedScheduling(t *testing.T) {
-	e := NewEngine()
+	e := newTestEngine()
 	var trace []Cycles
 	e.After(1, func() {
 		trace = append(trace, e.Now())
@@ -54,7 +79,7 @@ func TestNestedScheduling(t *testing.T) {
 }
 
 func TestRunLimit(t *testing.T) {
-	e := NewEngine()
+	e := newTestEngine()
 	fired := false
 	e.At(100, func() { fired = true })
 	end := e.Run(50)
@@ -74,7 +99,7 @@ func TestRunLimit(t *testing.T) {
 }
 
 func TestHalt(t *testing.T) {
-	e := NewEngine()
+	e := newTestEngine()
 	count := 0
 	for i := Cycles(1); i <= 10; i++ {
 		e.At(i, func() {
@@ -94,7 +119,7 @@ func TestHalt(t *testing.T) {
 }
 
 func TestSchedulePastPanics(t *testing.T) {
-	e := NewEngine()
+	e := newTestEngine()
 	e.At(10, func() {
 		defer func() {
 			if recover() == nil {
@@ -107,7 +132,7 @@ func TestSchedulePastPanics(t *testing.T) {
 }
 
 func TestStep(t *testing.T) {
-	e := NewEngine()
+	e := newTestEngine()
 	n := 0
 	e.After(1, func() { n++ })
 	e.After(2, func() { n++ })
@@ -126,7 +151,7 @@ func TestStep(t *testing.T) {
 // non-decreasing.
 func TestMonotonicClock(t *testing.T) {
 	prop := func(delays []uint16) bool {
-		e := NewEngine()
+		e := newTestEngine()
 		var times []Cycles
 		for _, d := range delays {
 			e.After(Cycles(d), func() { times = append(times, e.Now()) })

@@ -1,7 +1,7 @@
 package sim
 
 import (
-	"runtime"
+	"reflect"
 	"testing"
 )
 
@@ -16,10 +16,11 @@ func (r *recordingOp) RunEvent(kind int, arg uint64) {
 }
 
 // TestTypedEvents checks that ScheduleOp/AfterOp dispatch in (when, seq)
-// order interleaved with closure-form events, carrying kind and arg intact.
+// order interleaved with another receiver's events, carrying kind and arg
+// intact.
 func TestTypedEvents(t *testing.T) {
-	e := NewEngine()
-	r := &recordingOp{eng: e}
+	e := newTestEngine()
+	r := &recordingOp{eng: e.Engine}
 	e.ScheduleOp(20, r, 2, 200)
 	e.AfterOp(10, r, 1, 100)
 	closureRan := false
@@ -40,10 +41,11 @@ func TestTypedEvents(t *testing.T) {
 	}
 }
 
-// TestTypedTieBreakWithClosures: typed and closure events scheduled for the
-// same cycle fire in schedule order, regardless of form.
+// TestTypedTieBreakWithClosures: events of two receivers (a kind-logging
+// one and the test engine's closure slots) scheduled for the same cycle
+// fire in schedule order, regardless of receiver.
 func TestTypedTieBreakWithClosures(t *testing.T) {
-	e := NewEngine()
+	e := newTestEngine()
 	var order []int
 	r := &funcOp{fn: func(kind int, _ uint64) { order = append(order, kind) }}
 	e.ScheduleOp(5, r, 0, 0)
@@ -66,8 +68,8 @@ func (f *funcOp) RunEvent(kind int, arg uint64) { f.fn(kind, arg) }
 
 // TestScheduleOpPastPanics mirrors TestSchedulePastPanics for the typed form.
 func TestScheduleOpPastPanics(t *testing.T) {
-	e := NewEngine()
-	r := &recordingOp{eng: e}
+	e := newTestEngine()
+	r := &recordingOp{eng: e.Engine}
 	e.At(10, func() {
 		defer func() {
 			if recover() == nil {
@@ -106,31 +108,26 @@ func TestTypedEventZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestPopReleasesEventMemory: after dispatch, the queue must not keep the
-// event's closure reachable through the slice's spare capacity. The closure
-// captures a large buffer and sets a finalizer canary on it; if popMin
-// failed to clear the vacated slot, the buffer would survive collection.
+// TestPopReleasesEventMemory: the heap element holds no pointer, so a
+// dispatched event can keep nothing reachable through the event slice's
+// spare capacity, and heap sifts move plain 32-byte values.
 func TestPopReleasesEventMemory(t *testing.T) {
-	e := NewEngine()
-	collected := make(chan struct{})
-	func() {
-		buf := make([]byte, 1<<20)
-		runtime.SetFinalizer(&buf[0], func(*byte) { close(collected) })
-		e.After(1, func() { buf[0] = 1 })
-	}()
-	// Keep the engine alive (and with it the events slice's spare capacity)
-	// while forcing collection of the dispatched event's closure.
-	e.Run(0)
-	for i := 0; i < 10; i++ {
-		runtime.GC()
-		select {
-		case <-collected:
-			if e.Pending() != 0 {
-				t.Fatal("queue not empty")
-			}
-			return
+	typ := reflect.TypeOf(event{})
+	if typ.Size() != 32 {
+		t.Fatalf("event is %d bytes, want 32", typ.Size())
+	}
+	for i := 0; i < typ.NumField(); i++ {
+		switch f := typ.Field(i); f.Type.Kind() {
+		case reflect.Uint64, reflect.Int32:
 		default:
+			t.Fatalf("event field %s has kind %v; events must stay pointer-free", f.Name, f.Type.Kind())
 		}
 	}
-	t.Fatal("dispatched event's closure still reachable: popMin did not clear the vacated slot")
+	e := NewEngine()
+	r := &recordingOp{eng: e}
+	e.AfterOp(1, r, 0, 0)
+	e.Run(0)
+	if e.Pending() != 0 || len(r.got) != 1 {
+		t.Fatalf("pending %d, dispatched %d; want 0 and 1", e.Pending(), len(r.got))
+	}
 }
