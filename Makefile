@@ -23,8 +23,8 @@ fmt:
 		echo "files need gofmt:" >&2; echo "$$out" >&2; exit 1; fi
 
 # lint runs the repo's own static-analysis suite (cmd/asaplint): the
-# per-package analyzers (donecheck, detcheck, unitcheck, ledgercheck,
-# obscheck, statcheck) plus the module-wide call-graph pair —
+# per-package analyzers (detcheck, unitcheck, ledgercheck, obscheck,
+# statcheck) plus the module-wide call-graph pair —
 # alloccheck (//asap:hot functions are transitively allocation-free) and
 # domaincheck (event callbacks mutate only their own component). Use
 # `go run ./cmd/asaplint -json ./...` for machine-readable findings.
@@ -39,7 +39,7 @@ lint:
 size:
 	@files="$$(find . -name '*.go' ! -name '*_test.go' -not -path './.git/*' \
 		-not -path './.bench_build/*' -not -path './perfbench/*' -not -path '*/testdata/*')"; \
-	ceiling=96; \
+	ceiling=72; \
 	n=$$(cat $$files | grep -c 'asaplint:ignore.*alloccheck'); \
 	echo "non-test Go LOC: $$(cat $$files | wc -l)"; \
 	echo "alloccheck suppressions: $$n (ceiling $$ceiling)"; \

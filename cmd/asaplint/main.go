@@ -1,6 +1,6 @@
 // Command asaplint runs the repository's static-analysis suite
-// (internal/analysis): the per-package analyzers donecheck, detcheck,
-// unitcheck, ledgercheck, obscheck and statcheck, plus the
+// (internal/analysis): the per-package analyzers detcheck, unitcheck,
+// ledgercheck, obscheck and statcheck, plus the
 // module-wide call-graph analyzers alloccheck and domaincheck.
 // It loads every package of the module from source using only the
 // standard library — no go/packages, no external tools — and exits
@@ -28,7 +28,6 @@ import (
 	"asap/internal/analysis/alloccheck"
 	"asap/internal/analysis/detcheck"
 	"asap/internal/analysis/domaincheck"
-	"asap/internal/analysis/donecheck"
 	"asap/internal/analysis/ledgercheck"
 	"asap/internal/analysis/obscheck"
 	"asap/internal/analysis/statcheck"
@@ -37,7 +36,6 @@ import (
 
 func analyzers() []analysis.Analyzer {
 	return []analysis.Analyzer{
-		donecheck.New(),
 		detcheck.New(),
 		unitcheck.New(),
 		ledgercheck.New(),

@@ -1,8 +1,8 @@
 // Package analysis is a small stdlib-only static-analysis framework for
-// enforcing simulator invariants the Go compiler cannot see: done-callback
-// discipline, determinism (no wall clocks, no unseeded randomness, no
-// order-dependent map iteration), cycle/nanosecond unit hygiene, and
-// ledger ground-truth coverage. It is intentionally free of
+// enforcing simulator invariants the Go compiler cannot see: determinism
+// (no wall clocks, no unseeded randomness, no order-dependent map
+// iteration), cycle/nanosecond unit hygiene, and ledger ground-truth
+// coverage. It is intentionally free of
 // golang.org/x/tools — analyzers are built directly on go/ast, go/parser
 // and go/types, and packages are loaded by a module-aware source importer
 // (see load.go), so the linter builds with nothing but the standard

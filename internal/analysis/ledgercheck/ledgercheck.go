@@ -1,8 +1,8 @@
 // Package ledgercheck keeps the crash checker honest: the theorems it
 // verifies (package crash, Theorem 2) are vacuous unless every Model
 // implementation reports its persistent writes to the Ledger. For each
-// concrete type in internal/model with a Store method taking a done
-// callback, the analyzer walks the package-local call graph reachable
+// concrete type in internal/model with a Store method of the Model.Store
+// shape, the analyzer walks the package-local call graph reachable
 // from Store; if no reachable function calls Ledger.RecordWrite, the
 // model's writes would be invisible to the crash checker and Store is
 // flagged.
@@ -95,21 +95,16 @@ type storeMethod struct {
 }
 
 // isStoreMethod matches the Model.Store shape: a method named Store
-// whose last parameter is a bare func() callback.
+// taking three parameters (core, line, token) and returning nothing.
 func isStoreMethod(fd *ast.FuncDecl) bool {
-	if fd.Recv == nil || fd.Name.Name != "Store" {
+	if fd.Recv == nil || fd.Name.Name != "Store" || fd.Type.Results != nil {
 		return false
 	}
-	params := fd.Type.Params
-	if params == nil || len(params.List) == 0 {
-		return false
+	n := 0
+	for _, f := range fd.Type.Params.List {
+		n += max(len(f.Names), 1)
 	}
-	last, ok := params.List[len(params.List)-1].Type.(*ast.FuncType)
-	if !ok {
-		return false
-	}
-	return (last.Params == nil || len(last.Params.List) == 0) &&
-		(last.Results == nil || len(last.Results.List) == 0)
+	return n == 3
 }
 
 func recvTypeName(fd *ast.FuncDecl) string {

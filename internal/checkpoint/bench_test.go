@@ -9,8 +9,8 @@ import (
 	"asap/internal/workload"
 )
 
-// BenchmarkCheckpointRoundtrip measures one full Save+Load cycle on a
-// mid-run asap_ep/cceh machine parked at a quiescent cycle — the unit of
+// BenchmarkCheckpointRoundtrip measures one full Save+Load cycle on an
+// asap_ep/cceh machine at cycle 400 — the unit of
 // work a checkpoint-resume or image-based campaign pays per image. The
 // committed baseline gates its time and allocs/op via cmd/benchdiff.
 func BenchmarkCheckpointRoundtrip(b *testing.B) {
@@ -22,14 +22,12 @@ func BenchmarkCheckpointRoundtrip(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	m.Advance(400)
-	// Park the machine on its next quiescent cycle so every iteration's
-	// Save succeeds without searching.
-	img, at, err := SaveNextQuiescent(m, 1<<20)
+	m.Advance(goldenImageCycle)
+	img, err := Save(m)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Logf("image: %d bytes at cycle %d", len(img), at)
+	b.Logf("image: %d bytes at cycle %d", len(img), goldenImageCycle)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

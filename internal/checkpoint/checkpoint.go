@@ -29,8 +29,8 @@ import (
 // Checkpoint is an in-memory snapshot of one serial machine, taken by
 // Capture. It rewinds that same machine instance: Fork puts the machine
 // back into the captured state in place, preserving every object identity
-// (pointers, closures, map and slice backing arrays), so in-flight
-// continuations the model holds remain valid. Forks are therefore
+// (pointers, map and slice backing arrays); an operation parked in the
+// model is plain data and rewinds with the rest. Forks are therefore
 // sequential — each Fork abandons whatever the previous fork simulated —
 // which is exactly the shape a crash campaign needs: fork, crash, check,
 // fork again.

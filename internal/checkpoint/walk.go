@@ -15,9 +15,10 @@ package checkpoint
 //   - non-POD pointees are captured as typed shallow copies (reflect.Set —
 //     a typedmemmove with proper write barriers). Restoring the copy puts
 //     back every scalar, every pointer (identity — the graph keeps its
-//     original objects), every func value (closures are shared, not
-//     cloned: everything they capture is itself rolled back), and every
-//     slice/map header.
+//     original objects), every func value (only construction-time
+//     callbacks exist, shared rather than cloned: what they capture is
+//     itself rolled back), and every slice/map header. An operation parked
+//     in the model is plain data and rolls back like any other field.
 //   - slice contents are copied back into the original backing array,
 //     preserving aliasing (two slices sharing a backing array keep sharing
 //     it after restore).

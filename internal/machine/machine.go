@@ -37,6 +37,17 @@ const (
 	mEvCrash           // scheduled power failure (ScheduleCrash)
 )
 
+// Kinds of model operation a core can have in flight. The machine records
+// the kind before calling the model, and Resume continues the core by it,
+// so a parked operation needs no callback.
+const (
+	opNone    = iota
+	opStep    // Store or Ofence: resume the instruction stream
+	opDfence  // Dfence: close the dfence span, then step
+	opRelease // Release: the lock-line store and handoff (finishRelease)
+	opDrain   // StartDrain: the core has finished
+)
+
 // Machine is one runnable system instance. Build with New or NewUnchecked,
 // run with Run.
 type Machine struct {
@@ -96,13 +107,9 @@ type coreState struct {
 
 	waitingLock bool // a "lock wait" trace span is open for this core
 
-	// stepFn, dfenceDoneFn and relDoneFn are the core's resume callbacks,
-	// built once at construction and passed to the model as done-callbacks
-	// so the per-op path allocates no closures. Each core has at most one
-	// op in flight, so a single callback per core suffices.
-	stepFn       func()
-	dfenceDoneFn func()
-	relDoneFn    func()
+	// inflight is the kind of the model operation the core waits on
+	// (opNone when it waits on none). The core is serial, so one suffices.
+	inflight int
 
 	// pendLine/pendToken stage the persistent store issued when the pending
 	// mEvPStore event fires. Valid because the core is serial: no second
@@ -111,7 +118,7 @@ type coreState struct {
 	pendToken mem.Token
 
 	// relLine/relTS stage the lock release in flight (mEvRelease plus the
-	// model's Release continuation); handoffLine stages the lock line of a
+	// model's Release and its Resume); handoffLine stages the lock line of a
 	// contended acquire handed to this core (mEvHandoff). One of each can
 	// be pending per core: releases are ops of the serial core, and a core
 	// receiving a handoff is parked on that acquire.
@@ -192,6 +199,7 @@ func build(cfg config.Config, modelName string, tr *trace.Trace, lg *Ledger) (*M
 		Dir:    m.Hier.Directory(),
 		St:     st,
 		Ledger: mlg,
+		Resume: m,
 	})
 	if err != nil {
 		return nil, err
@@ -201,16 +209,7 @@ func build(cfg config.Config, modelName string, tr *trace.Trace, lg *Ledger) (*M
 	m.wbbs = make([]*persist.WBB, tr.NumThreads())
 	m.wbbPreds = make([]func(mem.Line) bool, tr.NumThreads())
 	for i := range m.cores {
-		c := &coreState{id: i, ops: tr.Threads[i]}
-		c.stepFn = func() { m.step(c) }
-		c.dfenceDoneFn = func() {
-			if m.trc != nil {
-				m.trc.End(m.coreTracks[c.id])
-			}
-			m.step(c)
-		}
-		c.relDoneFn = func() { m.finishRelease(c) }
-		m.cores[i] = c
+		m.cores[i] = &coreState{id: i, ops: tr.Threads[i]}
 		m.wbbs[i] = persist.NewWBB(16)
 		i := i
 		m.wbbPreds[i] = func(l mem.Line) bool { return !m.Model.PBHasLine(i, l) }
@@ -250,18 +249,22 @@ func (m *Machine) RunEvent(kind int, arg uint64) {
 		m.step(m.cores[arg])
 	case mEvPStore:
 		c := m.cores[arg]
-		m.Model.Store(c.id, c.pendLine, c.pendToken, c.stepFn)
+		m.begin(c, opStep)
+		m.Model.Store(c.id, c.pendLine, c.pendToken)
 	case mEvOfence:
-		m.Model.Ofence(int(arg), m.cores[arg].stepFn)
+		m.begin(m.cores[arg], opStep)
+		m.Model.Ofence(int(arg))
 	case mEvDfence:
 		c := m.cores[arg]
 		if m.trc != nil {
 			m.trc.Begin(m.coreTracks[c.id], "dfence")
 		}
-		m.Model.Dfence(c.id, c.dfenceDoneFn)
+		m.begin(c, opDfence)
+		m.Model.Dfence(c.id)
 	case mEvRelease:
 		c := m.cores[arg]
-		m.Model.Release(c.id, c.relLine, c.relDoneFn) //asaplint:ignore alloccheck lock release is contention-only, cold next to the per-access path
+		m.begin(c, opRelease)
+		m.Model.Release(c.id, c.relLine)
 	case mEvHandoff:
 		c := m.cores[arg]
 		m.finishAcquire(c, c.handoffLine)
@@ -273,6 +276,40 @@ func (m *Machine) RunEvent(kind int, arg uint64) {
 		m.crash() //asaplint:ignore alloccheck one power failure ends the run; the ADR crash sequence is cold
 	default:
 		panic(fmt.Sprintf("machine: unknown event kind %d", kind))
+	}
+}
+
+// begin records the model operation core c is about to wait on.
+func (m *Machine) begin(c *coreState, kind int) {
+	if c.inflight != opNone {
+		panic(fmt.Sprintf("machine: core %d starts an operation with another in flight", c.id))
+	}
+	c.inflight = kind
+}
+
+// Resume continues a core whose model operation finished (model.Resumer).
+// Models call it exactly once per operation; a second call finds no
+// operation in flight and panics.
+func (m *Machine) Resume(core int) {
+	c := m.cores[core]
+	kind := c.inflight
+	c.inflight = opNone
+	switch kind {
+	case opStep:
+		m.step(c)
+	case opDfence:
+		if m.trc != nil {
+			m.trc.End(m.coreTracks[c.id])
+		}
+		m.step(c)
+	case opRelease:
+		m.finishRelease(c)
+	case opDrain:
+		c.done = true
+		c.finish = m.Eng.Now()
+		m.finished++
+	default:
+		panic(fmt.Sprintf("machine: core %d resumed with no operation in flight", core))
 	}
 }
 
@@ -525,12 +562,8 @@ func (m *Machine) step(c *coreState) {
 		return
 	}
 	if c.pc >= len(c.ops) {
-		//asaplint:ignore alloccheck drain completion fires once per core at end of trace
-		m.Model.StartDrain(c.id, func() {
-			c.done = true
-			c.finish = m.Eng.Now()
-			m.finished++
-		})
+		m.begin(c, opDrain)
+		m.Model.StartDrain(c.id)
 		return
 	}
 	op := c.ops[c.pc]
@@ -670,18 +703,16 @@ func (m *Machine) finishAcquire(c *coreState, line mem.Line) {
 // release runs the model's release work (epoch close, or flush+fence on the
 // baseline), then performs the lock-line store, tags the release epoch in
 // the directory, and hands the lock to the next waiter. The whole chain is
-// staged in coreState fields and driven by typed events plus the
-// construction-time relDoneFn — lock-heavy workloads release constantly,
-// and the closure form this replaced was a double-digit share of Fig8's
-// allocations.
+// staged in coreState fields and driven by typed events plus the model's
+// Resume, so a release allocates nothing.
 func (m *Machine) release(c *coreState, line mem.Line) {
 	c.relLine = line
 	c.relTS = m.Model.CurrentTS(c.id)
 	m.Eng.AfterOp(m.Cfg.FenceCost, m, mEvRelease, uint64(c.id))
 }
 
-// finishRelease is the model's release-done continuation: the lock-line
-// store, directory release tag, and lock handoff.
+// finishRelease continues a release once the model resumes the core: the
+// lock-line store, directory release tag, and lock handoff.
 func (m *Machine) finishRelease(c *coreState) {
 	line := c.relLine
 	res := m.access(c.id, line, true, false)

@@ -149,6 +149,30 @@ func TestScheduleCrashHalts(t *testing.T) {
 	}
 }
 
+// TestSecondResumePanics: a model finishes each operation with exactly one
+// Resume; a second Resume of the same core finds no operation in flight and
+// panics instead of stepping the core twice.
+func TestSecondResumePanics(t *testing.T) {
+	var b trace.Builder
+	b.Ofence()
+	b.Compute(10)
+	m, err := New(config.Default(), model.NameEADR, &trace.Trace{Name: "resume", Threads: [][]trace.Op{b.Ops()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Advance(0)             // core 0 steps to its Ofence
+	m.RunEvent(mEvOfence, 0) // eADR finishes the Ofence and resumes the core
+	if m.cores[0].inflight != opNone {
+		t.Fatalf("core still waits on operation kind %d after its Resume", m.cores[0].inflight)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("second Resume did not panic")
+		}
+	}()
+	m.Resume(0)
+}
+
 // TestLockHandoffFIFO: contended lock waiters resume in arrival order.
 func TestLockHandoffFIFO(t *testing.T) {
 	// Three threads take the same lock, write a private line, release.

@@ -163,37 +163,37 @@ func (m *ASAP) epochSafe(c *asapCore, ts uint64) bool {
 
 // Store enqueues the write in the persist buffer, stalling the core when
 // the buffer is full (cyclesStalled).
-func (m *ASAP) Store(core int, line mem.Line, token mem.Token, done func()) {
+func (m *ASAP) Store(core int, line mem.Line, token mem.Token) {
 	c := m.cores[core]
 	if !c.enqueue(&m.env, &m.hc, line, token) {
-		c.store.park(line, token, done, m.env.Eng.Now())
+		c.store.park(line, token, m.env.Eng.Now())
 		m.kickFlusher(c)
 		return
 	}
 	m.kickFlusher(c)
-	done() //asaplint:ignore alloccheck done is the core's resume callback, built once at machine construction
+	m.env.Resume.Resume(core)
 }
 
 // Ofence closes the current epoch (§V-A): increment the timestamp and add a
 // new epoch table entry, stalling if the table is full.
-func (m *ASAP) Ofence(core int, done func()) {
+func (m *ASAP) Ofence(core int) {
 	c := m.cores[core]
 	if c.et.Full() {
-		c.fence = fenceWaiter{done: done, began: m.env.Eng.Now()}
+		c.fence = fenceWaiter{parked: true, began: m.env.Eng.Now()}
 		return
 	}
 	closed := c.et.CurrentTS()
 	c.et.Advance()
 	m.traceEpoch(c, "epoch close")
 	m.tryCommit(c, closed)
-	done() //asaplint:ignore alloccheck done is the core's resume callback, built once at machine construction
+	m.env.Resume.Resume(core)
 }
 
 // Dfence waits until every in-flight epoch of the thread has committed.
-func (m *ASAP) Dfence(core int, done func()) {
+func (m *ASAP) Dfence(core int) {
 	c := m.cores[core]
 	if c.et.Full() {
-		c.fence = fenceWaiter{done: done, began: m.env.Eng.Now(), dfence: true}
+		c.fence = fenceWaiter{parked: true, began: m.env.Eng.Now(), dfence: true}
 		return
 	}
 	closed := c.et.CurrentTS()
@@ -201,10 +201,10 @@ func (m *ASAP) Dfence(core int, done func()) {
 	m.traceEpoch(c, "epoch close")
 	m.tryCommit(c, closed)
 	if c.et.AllCommitted() {
-		done() //asaplint:ignore alloccheck done is the core's resume callback, built once at machine construction
+		m.env.Resume.Resume(core)
 		return
 	}
-	c.dfence.park(done, m.env.Eng.Now())
+	c.dfence.park(m.env.Eng.Now())
 	m.kickFlusher(c)
 }
 
@@ -212,7 +212,7 @@ func (m *ASAP) Dfence(core int, done func()) {
 // it, so the epoch containing those writes is closed. The machine tags the
 // lock line with the closed epoch after performing the release store, so a
 // later acquire can find the release epoch (§IV-A).
-func (m *ASAP) Release(core int, line mem.Line, done func()) {
+func (m *ASAP) Release(core int, line mem.Line) {
 	c := m.cores[core]
 	if m.rp && !c.et.Full() {
 		relTS := c.et.CurrentTS()
@@ -224,7 +224,7 @@ func (m *ASAP) Release(core int, line mem.Line, done func()) {
 	// workload's explicit ofences provide intra-thread ordering and the
 	// coherence conflict on the lock line provides the cross-thread
 	// dependency.
-	done()
+	m.env.Resume.Resume(core)
 }
 
 // Acquire needs no direct action: the dependency, if any, arrives through
@@ -294,9 +294,7 @@ func (m *ASAP) addDependency(core int, src persist.EpochID) {
 }
 
 // StartDrain gives end-of-trace dfence semantics.
-func (m *ASAP) StartDrain(core int, done func()) {
-	m.Dfence(core, done)
-}
+func (m *ASAP) StartDrain(core int) { m.Dfence(core) }
 
 // PBOccupancy and PBBlocked feed the sampler.
 func (m *ASAP) PBOccupancy(core int) int { return m.cores[core].pb.Len() }
@@ -467,7 +465,7 @@ func (m *ASAP) finishCommit(c *asapCore, ent *persist.ETEntry) {
 	// Committing may unblock: the next epoch's commit, a stalled ofence
 	// (table space freed), a dfence, and the flusher (epochs became safe).
 	m.tryCommit(c, ts+1)
-	c.wakeFences(m, &m.hc, m.env.Eng.Now())
+	c.wakeFences(m, &m.env, &m.hc)
 	m.kickFlusher(c)
 }
 

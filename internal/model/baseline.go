@@ -33,7 +33,7 @@ type baseCore struct {
 
 	outstanding int
 	issueQ      []mem.Line
-	fenceDone   func()
+	fencing     bool // a fence is waiting for its flushes
 	fenceStart  sim.Cycles
 }
 
@@ -71,29 +71,27 @@ func (m *Baseline) EpochCommitted(e persist.EpochID) bool {
 }
 
 // Store marks the line dirty; durability is deferred to the next fence.
-func (m *Baseline) Store(core int, line mem.Line, token mem.Token, done func()) {
+func (m *Baseline) Store(core int, line mem.Line, token mem.Token) {
 	c := m.cores[core]
 	if _, ok := c.writeset[line]; !ok {
 		c.order = append(c.order, line) //asaplint:ignore alloccheck dirty-line list reaches the inter-fence footprint once, then reuses it
 	}
 	c.writeset[line] = token //asaplint:ignore alloccheck write set bounded by dirty footprint; entries deleted at flush recycle
 	m.env.Ledger.RecordWrite(persist.EpochID{Thread: core, TS: c.ts}, line, token)
-	done() //asaplint:ignore alloccheck done is the core's resume callback, built once at machine construction
+	m.env.Resume.Resume(core)
 }
 
 // Ofence is clwb-per-dirty-line followed by sfence: the core stalls until
 // every flush is acknowledged.
-func (m *Baseline) Ofence(core int, done func()) { m.fence(core, done) }
+func (m *Baseline) Ofence(core int) { m.fence(core) }
 
 // Dfence behaves identically: on this hardware the sfence already waits for
 // ADR durability.
-func (m *Baseline) Dfence(core int, done func()) { m.fence(core, done) }
+func (m *Baseline) Dfence(core int) { m.fence(core) }
 
 // Release flushes and fences before the lock is actually released — the
 // standard recipe for crash-consistent lock-based PM code on Intel hardware.
-func (m *Baseline) Release(core int, line mem.Line, done func()) {
-	m.fence(core, done)
-}
+func (m *Baseline) Release(core int, line mem.Line) { m.fence(core) }
 
 // Acquire has no persistence cost on the baseline.
 func (m *Baseline) Acquire(core int, line mem.Line) {}
@@ -103,25 +101,25 @@ func (m *Baseline) Acquire(core int, line mem.Line) {}
 func (m *Baseline) Conflict(core int, cf *cache.Conflict) {}
 
 // StartDrain issues a final fence.
-func (m *Baseline) StartDrain(core int, done func()) { m.fence(core, done) }
+func (m *Baseline) StartDrain(core int) { m.fence(core) }
 
 // PBOccupancy and PBBlocked: no persist buffer.
 func (m *Baseline) PBOccupancy(core int) int { return 0 }
 func (m *Baseline) PBBlocked(core int) bool  { return false }
 
-func (m *Baseline) fence(core int, done func()) {
+func (m *Baseline) fence(core int) {
 	c := m.cores[core]
-	if c.fenceDone != nil {
+	if c.fencing {
 		panic("baseline: overlapping fences on one core")
 	}
 	if len(c.order) == 0 && c.outstanding == 0 {
 		m.commitEpoch(c)
-		done() //asaplint:ignore alloccheck done is the core's resume callback, built once at machine construction
+		m.env.Resume.Resume(core)
 		return
 	}
 	m.hc.fences.Inc()
 	c.fenceStart = m.env.Eng.Now()
-	c.fenceDone = done
+	c.fencing = true
 	c.issueQ = append(c.issueQ, c.order...) //asaplint:ignore alloccheck issue queue reaches steady-state capacity, then appends reuse it
 	c.order = c.order[:0]
 	m.issueFlushes(c)
@@ -151,12 +149,11 @@ func (m *Baseline) onAck(c *baseCore) {
 		m.issueFlushes(c)
 		return
 	}
-	if c.outstanding == 0 && c.fenceDone != nil {
-		done := c.fenceDone
-		c.fenceDone = nil
+	if c.outstanding == 0 && c.fencing {
+		c.fencing = false
 		m.hc.dfenceStalled.Add(uint64(m.env.Eng.Now() - c.fenceStart))
 		m.commitEpoch(c)
-		done() //asaplint:ignore alloccheck done is the core's resume callback, built once at machine construction
+		m.env.Resume.Resume(c.id)
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 // TestConformance drives every model through the same scripted sequence and
 // checks protocol invariants shared by all designs:
 //
-//   - done callbacks fire exactly once per operation;
+//   - each operation resumes its core exactly once;
 //   - CurrentTS never decreases;
 //   - after StartDrain completes, the persist buffer is empty and every
 //     line written is durable (except eADR, whose domain is the cache);
@@ -19,7 +19,7 @@ func TestConformance(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			env, eng := testEnv(t, name)
-			m, err := New(name, env)
+			m, err := newDriven(name, env)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -94,7 +94,7 @@ func TestConformanceReleaseAcquire(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			env, eng := testEnv(t, name)
-			m, err := New(name, env)
+			m, err := newDriven(name, env)
 			if err != nil {
 				t.Fatal(err)
 			}

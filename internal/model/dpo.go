@@ -31,9 +31,9 @@ func newDPO(env Env) *DPO {
 func (m *DPO) Name() string { return NameDPO }
 
 // Release closes the epoch (release persistency).
-func (m *DPO) Release(core int, line mem.Line, done func()) {
+func (m *DPO) Release(core int, line mem.Line) {
 	m.closeIfRoom(m.cores[core])
-	done()
+	m.env.Resume.Resume(core)
 }
 
 // Conflict records a dependency under release persistency (DPO is evaluated

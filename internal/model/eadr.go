@@ -40,29 +40,26 @@ func (m *EADR) CurrentTS(core int) uint64 { return m.ts[core] + 1 }
 func (m *EADR) EpochCommitted(e persist.EpochID) bool { return true }
 
 // Store is durable immediately.
-func (m *EADR) Store(core int, line mem.Line, token mem.Token, done func()) {
+func (m *EADR) Store(core int, line mem.Line, token mem.Token) {
 	m.nStores[core]++
 	m.env.Ledger.RecordWrite(persist.EpochID{Thread: core, TS: m.ts[core] + 1}, line, token)
 	m.env.Ledger.EpochCommitted(persist.EpochID{Thread: core, TS: m.ts[core] + 1})
-	done() //asaplint:ignore alloccheck done is the core's resume callback, built once at machine construction
+	m.env.Resume.Resume(core)
 }
 
 // Ofence and Dfence are free beyond their pipeline cost.
-func (m *EADR) Ofence(core int, done func()) { m.ts[core]++; done() } //asaplint:ignore alloccheck done is the core's resume callback, built once at machine construction
-func (m *EADR) Dfence(core int, done func()) { m.ts[core]++; done() } //asaplint:ignore alloccheck done is the core's resume callback, built once at machine construction
+func (m *EADR) Ofence(core int) { m.ts[core]++; m.env.Resume.Resume(core) }
+func (m *EADR) Dfence(core int) { m.ts[core]++; m.env.Resume.Resume(core) }
 
 // Release advances the epoch counter; no flush is needed.
-func (m *EADR) Release(core int, line mem.Line, done func()) {
-	m.ts[core]++
-	done()
-}
+func (m *EADR) Release(core int, line mem.Line) { m.ts[core]++; m.env.Resume.Resume(core) }
 
 // Acquire and Conflict need no action: ordering is trivially satisfied.
 func (m *EADR) Acquire(core int, line mem.Line)       {}
 func (m *EADR) Conflict(core int, cf *cache.Conflict) {}
 
 // StartDrain completes immediately.
-func (m *EADR) StartDrain(core int, done func()) { done() }
+func (m *EADR) StartDrain(core int) { m.env.Resume.Resume(core) }
 
 // PBOccupancy and PBBlocked: no persist buffer.
 func (m *EADR) PBOccupancy(core int) int { return 0 }

@@ -19,8 +19,8 @@ import (
 //
 // Every continuation is typed: flusher wake-ups and commit notifies are
 // engine events with the model as receiver, flush ACKs come back through
-// persist.FlushReplier, and a stalled operation parks in a waiter struct
-// holding its resume callback.
+// persist.FlushReplier, and a stalled operation parks as plain data in a
+// waiter struct until the model resumes its core.
 type epochCore struct {
 	env   Env
 	hc    hotCounters
@@ -76,32 +76,35 @@ type bufCPU struct {
 	dfence         dfenceWaiter // a dfence (or drain) waiting for every epoch to commit
 }
 
+// The waiters hold a parked operation as plain data; the machine knows
+// which operation a core has in flight, so finishing one is a Resume of
+// the core.
 type storeWaiter struct {
-	line  mem.Line
-	token mem.Token
-	done  func()
-	began sim.Cycles
+	parked bool
+	line   mem.Line
+	token  mem.Token
+	began  sim.Cycles
 }
 
 type fenceWaiter struct {
-	done   func()
+	parked bool
 	began  sim.Cycles
 	dfence bool
 }
 
 type dfenceWaiter struct {
-	done  func()
-	began sim.Cycles
+	parked bool
+	began  sim.Cycles
 }
 
 // storer and fencer rerun a parked operation through its model.
 type storer interface {
-	Store(core int, line mem.Line, token mem.Token, done func())
+	Store(core int, line mem.Line, token mem.Token)
 }
 
 type fencer interface {
-	Ofence(core int, done func())
-	Dfence(core int, done func())
+	Ofence(core int)
+	Dfence(core int)
 }
 
 func newBufCPU(id int, env Env) bufCPU {
@@ -131,56 +134,57 @@ func (c *bufCPU) enqueue(env *Env, hc *hotCounters, line mem.Line, token mem.Tok
 }
 
 // park parks a store on a full persist buffer; the next ACK retries it.
-func (w *storeWaiter) park(line mem.Line, token mem.Token, done func(), now sim.Cycles) {
-	if w.done != nil {
+func (w *storeWaiter) park(line mem.Line, token mem.Token, now sim.Cycles) {
+	if w.parked {
 		panic("model: overlapping store stalls on one core")
 	}
-	*w = storeWaiter{line: line, token: token, done: done, began: now}
+	*w = storeWaiter{parked: true, line: line, token: token, began: now}
 }
 
 // retry reruns the parked store, if any, through s after an ACK freed a
 // buffer slot, charging the stall to cyclesStalled.
 func (w *storeWaiter) retry(s storer, core int, hc *hotCounters, now sim.Cycles) {
 	p := *w
-	if p.done == nil {
+	if !p.parked {
 		return
 	}
 	*w = storeWaiter{}
 	hc.cyclesStalled.Add(uint64(now - p.began))
-	s.Store(core, p.line, p.token, p.done)
+	s.Store(core, p.line, p.token)
 }
 
 // park parks a dfence until every epoch of the core committed.
-func (w *dfenceWaiter) park(done func(), now sim.Cycles) {
-	if w.done != nil {
+func (w *dfenceWaiter) park(now sim.Cycles) {
+	if w.parked {
 		panic("model: overlapping dfence waits on one core")
 	}
-	*w = dfenceWaiter{done: done, began: now}
+	*w = dfenceWaiter{parked: true, began: now}
 }
 
-// finish completes the parked dfence, charging the wait to dfenceStalled.
-func (w *dfenceWaiter) finish(hc *hotCounters, now sim.Cycles) {
-	p := *w
+// finish completes the parked dfence of core, charging the wait to
+// dfenceStalled.
+func (w *dfenceWaiter) finish(env *Env, core int, hc *hotCounters) {
+	now := env.Eng.Now()
+	hc.dfenceStalled.Add(uint64(now - w.began))
 	*w = dfenceWaiter{}
-	hc.dfenceStalled.Add(uint64(now - p.began))
-	p.done() //asaplint:ignore alloccheck resumes a dfence that already stalled (cold by definition)
+	env.Resume.Resume(core)
 }
 
 // wakeFences runs after a commit: it reruns a parked fence through f once
 // the epoch table has room, then completes a parked dfence once every
 // epoch committed.
-func (c *bufCPU) wakeFences(f fencer, hc *hotCounters, now sim.Cycles) {
-	if w := c.fence; w.done != nil && !c.et.Full() {
+func (c *bufCPU) wakeFences(f fencer, env *Env, hc *hotCounters) {
+	if w := c.fence; w.parked && !c.et.Full() {
 		c.fence = fenceWaiter{}
-		hc.ofenceStalled.Add(uint64(now - w.began))
+		hc.ofenceStalled.Add(uint64(env.Eng.Now() - w.began))
 		if w.dfence {
-			f.Dfence(c.id, w.done)
+			f.Dfence(c.id)
 		} else {
-			f.Ofence(c.id, w.done)
+			f.Ofence(c.id)
 		}
 	}
-	if c.dfence.done != nil && c.et.AllCommitted() {
-		c.dfence.finish(hc, now)
+	if c.dfence.parked && c.et.AllCommitted() {
+		c.dfence.finish(env, c.id, hc)
 	}
 }
 
@@ -252,49 +256,49 @@ func (m *epochCore) EpochCommitted(e persist.EpochID) bool {
 }
 
 // Store enqueues into the persist buffer, stalling on a full buffer.
-func (m *epochCore) Store(core int, line mem.Line, token mem.Token, done func()) {
+func (m *epochCore) Store(core int, line mem.Line, token mem.Token) {
 	c := m.cores[core]
 	if !c.enqueue(&m.env, &m.hc, line, token) {
-		c.store.park(line, token, done, m.env.Eng.Now())
+		c.store.park(line, token, m.env.Eng.Now())
 		m.kick(c)
 		return
 	}
 	if !m.lazy {
 		m.kick(c)
 	}
-	done() //asaplint:ignore alloccheck done is the core's resume callback, built once at machine construction
+	m.env.Resume.Resume(core)
 }
 
 // Ofence closes the epoch, stalling while the epoch table is full.
-func (m *epochCore) Ofence(core int, done func()) {
+func (m *epochCore) Ofence(core int) {
 	c := m.cores[core]
 	if c.et.Full() {
-		c.fence = fenceWaiter{done: done, began: m.env.Eng.Now()}
+		c.fence = fenceWaiter{parked: true, began: m.env.Eng.Now()}
 		return
 	}
 	m.closeEpoch(c)
-	done() //asaplint:ignore alloccheck done is the core's resume callback, built once at machine construction
+	m.env.Resume.Resume(core)
 }
 
 // Dfence closes the epoch and waits until every epoch of the core
 // committed.
-func (m *epochCore) Dfence(core int, done func()) {
+func (m *epochCore) Dfence(core int) {
 	c := m.cores[core]
 	if c.et.Full() {
-		c.fence = fenceWaiter{done: done, began: m.env.Eng.Now(), dfence: true}
+		c.fence = fenceWaiter{parked: true, began: m.env.Eng.Now(), dfence: true}
 		return
 	}
 	m.closeEpoch(c)
 	if c.et.AllCommitted() {
-		done() //asaplint:ignore alloccheck done is the core's resume callback, built once at machine construction
+		m.env.Resume.Resume(core)
 		return
 	}
-	c.dfence.park(done, m.env.Eng.Now())
+	c.dfence.park(m.env.Eng.Now())
 	m.kick(c)
 }
 
 // StartDrain gives end-of-trace dfence semantics.
-func (m *epochCore) StartDrain(core int, done func()) { m.Dfence(core, done) }
+func (m *epochCore) StartDrain(core int) { m.Dfence(core) }
 
 // Acquire needs no direct action; Conflict carries the dependency.
 func (m *epochCore) Acquire(core int, line mem.Line) {}
@@ -499,6 +503,6 @@ func (m *epochCore) tryCommit(c *epochCPU, ts uint64) {
 	}
 
 	m.tryCommit(c, ts+1)
-	c.wakeFences(m, &m.hc, m.env.Eng.Now())
+	c.wakeFences(m, &m.env, &m.hc)
 	m.kick(c)
 }

@@ -58,11 +58,11 @@ func (m *HOPS) RunEvent(kind int, arg uint64) {
 
 // Release closes the epoch under release persistency; the machine tags the
 // lock line with the closed epoch.
-func (m *HOPS) Release(core int, line mem.Line, done func()) {
+func (m *HOPS) Release(core int, line mem.Line) {
 	if m.rp {
 		m.closeIfRoom(m.cores[core])
 	}
-	done()
+	m.env.Resume.Resume(core)
 }
 
 // Conflict applies the same dependency policy as ASAP, but the dependency

@@ -33,9 +33,7 @@ func (m *LBPP) Name() string { return NameLBPP }
 
 // Release closes the epoch like an ofence (epoch persistency: the release
 // is ordered by the barrier the workload already issued around it).
-func (m *LBPP) Release(core int, line mem.Line, done func()) {
-	m.Ofence(core, done)
-}
+func (m *LBPP) Release(core int, line mem.Line) { m.Ofence(core) }
 
 // Conflict applies the epoch-persistency dependency policy with the
 // epoch-splitting rule LB++ introduced; the closed source epoch becomes

@@ -31,12 +31,12 @@ type lrpStall struct {
 	op    lrpOp
 }
 
-// lrpOp is a Model call deferred behind a blocked acquire.
+// lrpOp is a Model call deferred behind a blocked acquire; kind 0 is no
+// operation.
 type lrpOp struct {
 	kind  int
 	line  mem.Line
 	token mem.Token
-	done  func()
 }
 
 const (
@@ -57,20 +57,18 @@ func (m *LRP) Name() string { return NameLRP }
 
 // Store, Ofence, Dfence, Release and StartDrain run behind any blocked
 // acquire of the core.
-func (m *LRP) Store(core int, line mem.Line, token mem.Token, done func()) {
-	m.gate(core, lrpOp{kind: lrpStore, line: line, token: token, done: done})
+func (m *LRP) Store(core int, line mem.Line, token mem.Token) {
+	m.gate(core, lrpOp{kind: lrpStore, line: line, token: token})
 }
 
-func (m *LRP) Ofence(core int, done func()) { m.gate(core, lrpOp{kind: lrpOfence, done: done}) }
+func (m *LRP) Ofence(core int) { m.gate(core, lrpOp{kind: lrpOfence}) }
 
-func (m *LRP) Dfence(core int, done func()) { m.gate(core, lrpOp{kind: lrpDfence, done: done}) }
+func (m *LRP) Dfence(core int) { m.gate(core, lrpOp{kind: lrpDfence}) }
 
-func (m *LRP) StartDrain(core int, done func()) { m.Dfence(core, done) }
+func (m *LRP) StartDrain(core int) { m.Dfence(core) }
 
 // Release closes the epoch (one-sided barrier of release persistency).
-func (m *LRP) Release(core int, line mem.Line, done func()) {
-	m.gate(core, lrpOp{kind: lrpRelease, done: done})
-}
+func (m *LRP) Release(core int, line mem.Line) { m.gate(core, lrpOp{kind: lrpRelease}) }
 
 // gate defers op while the core's acquire is blocked on a remote persist.
 func (m *LRP) gate(core int, op lrpOp) {
@@ -79,7 +77,7 @@ func (m *LRP) gate(core int, op lrpOp) {
 		m.exec(core, op)
 		return
 	}
-	if s.op.done != nil {
+	if s.op.kind != 0 {
 		panic("lrp: overlapping operations behind one blocked acquire")
 	}
 	s.op = op
@@ -89,14 +87,14 @@ func (m *LRP) exec(core int, op lrpOp) {
 	c := m.cores[core]
 	switch op.kind {
 	case lrpStore:
-		m.epochCore.Store(core, op.line, op.token, op.done)
+		m.epochCore.Store(core, op.line, op.token)
 	case lrpOfence:
-		m.epochCore.Ofence(core, op.done)
+		m.epochCore.Ofence(core)
 	case lrpDfence:
-		m.epochCore.Dfence(core, op.done)
+		m.epochCore.Dfence(core)
 	case lrpRelease:
 		m.closeIfRoom(c)
-		op.done() //asaplint:ignore alloccheck done is the core's release continuation, built once at machine construction
+		m.env.Resume.Resume(core)
 	default:
 		panic("lrp: unknown deferred operation")
 	}
@@ -134,7 +132,7 @@ func (m *LRP) notified(dst persist.EpochID) {
 	s.on = false
 	op := s.op
 	s.op = lrpOp{}
-	if op.done != nil {
+	if op.kind != 0 {
 		m.exec(dst.Thread, op)
 	}
 }

@@ -39,6 +39,13 @@ func (NopLedger) RecordWrite(persist.EpochID, mem.Line, mem.Token) {}
 func (NopLedger) DepCreated(persist.EpochID, persist.EpochID)      {}
 func (NopLedger) EpochCommitted(persist.EpochID)                   {}
 
+// Resumer continues a core whose operation the model has finished. The
+// machine implements it: it knows the one operation each core has in
+// flight, so the core number is the whole continuation.
+type Resumer interface {
+	Resume(core int)
+}
+
 // Env is everything a model needs from the machine.
 type Env struct {
 	Eng    *sim.Engine
@@ -48,23 +55,26 @@ type Env struct {
 	Dir    *cache.Directory
 	St     *stats.Set
 	Ledger Ledger
+	Resume Resumer
 }
 
-// Model is one persistence architecture. Methods taking a done callback may
-// delay it to stall the core; they must invoke it exactly once. Conflict and
-// Acquire/Release bookkeeping never stalls the calling core directly.
+// Model is one persistence architecture. Store, Ofence, Dfence, Release and
+// StartDrain are the core's operations: the model finishes each with exactly
+// one Env.Resume.Resume(core), at once or later to stall the core. A parked
+// operation is plain data (its core, line and token), never a callback.
+// Conflict and Acquire bookkeeping never stalls the calling core directly.
 type Model interface {
 	Name() string
 
 	// Store enters a persistent write into the model's persist path.
-	Store(core int, line mem.Line, token mem.Token, done func())
+	Store(core int, line mem.Line, token mem.Token)
 	// Ofence orders earlier writes of the thread before later ones.
-	Ofence(core int, done func())
+	Ofence(core int)
 	// Dfence additionally guarantees earlier writes are durable.
-	Dfence(core int, done func())
+	Dfence(core int)
 	// Release/Acquire are the one-sided synchronization barriers of
 	// release persistency applied to lock/flag line.
-	Release(core int, line mem.Line, done func())
+	Release(core int, line mem.Line)
 	Acquire(core int, line mem.Line)
 
 	// Conflict reports a coherence event where the accessed line was
@@ -77,9 +87,9 @@ type Model interface {
 	// EpochCommitted reports whether epoch e is guaranteed durable.
 	EpochCommitted(e persist.EpochID) bool
 
-	// StartDrain is called at end-of-trace: done fires when everything
-	// the core wrote is durable (dfence semantics).
-	StartDrain(core int, done func())
+	// StartDrain is called at end-of-trace: the core resumes when
+	// everything it wrote is durable (dfence semantics).
+	StartDrain(core int)
 
 	// PBOccupancy and PBBlocked feed the periodic sampler (Figures 3 and
 	// 11). Models without persist buffers report 0/false.

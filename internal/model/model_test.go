@@ -32,6 +32,56 @@ func testEnv(t *testing.T, name string) (Env, *sim.Engine) {
 	}, eng
 }
 
+// driver runs a model the way the machine does, but continues each core
+// with a test callback: every operation records the core's continuation,
+// and the model's Resume of that core runs it.
+type driver struct {
+	Model
+	next map[int]func()
+}
+
+// newDriven builds the named model over env with a driver as its Resumer.
+func newDriven(name string, env Env) (*driver, error) {
+	d := &driver{next: map[int]func(){}}
+	env.Resume = d
+	m, err := New(name, env)
+	d.Model = m
+	return d, err
+}
+
+// Resume runs the continuation of the core's operation.
+func (d *driver) Resume(core int) {
+	f, ok := d.next[core]
+	if !ok {
+		panic("model resumed a core with no operation in flight")
+	}
+	delete(d.next, core)
+	f()
+}
+
+func (d *driver) begin(core int, done func()) {
+	if _, ok := d.next[core]; ok {
+		panic("overlapping operations on one core")
+	}
+	d.next[core] = done
+}
+
+func (d *driver) Store(core int, line mem.Line, token mem.Token, done func()) {
+	d.begin(core, done)
+	d.Model.Store(core, line, token)
+}
+
+func (d *driver) Ofence(core int, done func()) { d.begin(core, done); d.Model.Ofence(core) }
+
+func (d *driver) Dfence(core int, done func()) { d.begin(core, done); d.Model.Dfence(core) }
+
+func (d *driver) Release(core int, line mem.Line, done func()) {
+	d.begin(core, done)
+	d.Model.Release(core, line)
+}
+
+func (d *driver) StartDrain(core int, done func()) { d.begin(core, done); d.Model.StartDrain(core) }
+
 func TestNewAllModels(t *testing.T) {
 	for _, name := range ExtendedNames() {
 		env, _ := testEnv(t, name)
@@ -62,7 +112,7 @@ func TestSpeculativeFlag(t *testing.T) {
 func driveStoreFence(t *testing.T, name string, n int) sim.Cycles {
 	t.Helper()
 	env, eng := testEnv(t, name)
-	m, err := New(name, env)
+	m, err := newDriven(name, env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +143,7 @@ func TestDfenceDurability(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			env, eng := testEnv(t, name)
-			m, err := New(name, env)
+			m, err := newDriven(name, env)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -144,7 +194,7 @@ func TestModelCostOrdering(t *testing.T) {
 // issues early flushes and creates undo records at the controllers.
 func TestASAPEarlyFlushPath(t *testing.T) {
 	env, eng := testEnv(t, NameASAPRP)
-	m, _ := New(NameASAPRP, env)
+	m, _ := newDriven(NameASAPRP, env)
 	var chain func(i int)
 	chain = func(i int) {
 		if i >= 20 {
@@ -172,7 +222,7 @@ func TestASAPEarlyFlushPath(t *testing.T) {
 // recovery table.
 func TestHOPSNoSpeculation(t *testing.T) {
 	env, eng := testEnv(t, NameHOPSRP)
-	m, _ := New(NameHOPSRP, env)
+	m, _ := newDriven(NameHOPSRP, env)
 	var chain func(i int)
 	chain = func(i int) {
 		if i >= 20 {
@@ -207,7 +257,7 @@ func TestPMEMSpecMisspeculation(t *testing.T) {
 			IL:  mem.NewInterleaver(mcs, cfg.InterleaveBytes),
 			Dir: cache.NewDirectory(), St: st, Ledger: NopLedger{},
 		}
-		m, _ := New(NamePMEMSpec, env)
+		m, _ := newDriven(NamePMEMSpec, env)
 		var chain func(i int)
 		chain = func(i int) {
 			if i >= 30 {
@@ -237,7 +287,7 @@ func TestPMEMSpecMisspeculation(t *testing.T) {
 func TestDPOResolvesFasterThanHOPS(t *testing.T) {
 	runDep := func(name string) sim.Cycles {
 		env, eng := testEnv(t, name)
-		m, _ := New(name, env)
+		m, _ := newDriven(name, env)
 		// Thread 0 writes and releases; thread 1 acquires (dependency),
 		// writes, and dfences.
 		var t1done bool
@@ -274,7 +324,7 @@ func TestDPOResolvesFasterThanHOPS(t *testing.T) {
 func TestEpochCommittedSemantics(t *testing.T) {
 	for _, name := range []string{NameHOPSRP, NameASAPRP, NameDPO} {
 		env, eng := testEnv(t, name)
-		m, _ := New(name, env)
+		m, _ := newDriven(name, env)
 		fin := false
 		m.Store(0, 100, 1, func() {
 			m.Dfence(0, func() { fin = true })
@@ -309,7 +359,7 @@ func TestASAPNackFallback(t *testing.T) {
 		IL:  mem.NewInterleaver(cfg.MCs, cfg.InterleaveBytes),
 		Dir: cache.NewDirectory(), St: st, Ledger: NopLedger{},
 	}
-	m, _ := New(NameASAPRP, env)
+	m, _ := newDriven(NameASAPRP, env)
 
 	// A long chain of tiny epochs keeps several uncommitted at once, so
 	// early flushes outrun the 2-entry table.
@@ -361,7 +411,7 @@ func TestASAPNoEagerAblation(t *testing.T) {
 		IL:  mem.NewInterleaver(cfg.MCs, cfg.InterleaveBytes),
 		Dir: cache.NewDirectory(), St: st, Ledger: NopLedger{},
 	}
-	m, _ := New(NameASAPRP, env)
+	m, _ := newDriven(NameASAPRP, env)
 	done := false
 	var chain func(i int)
 	chain = func(i int) {
@@ -389,7 +439,7 @@ func TestASAPNoEagerAblation(t *testing.T) {
 // would never drain).
 func TestVorpalBroadcastProgress(t *testing.T) {
 	env, eng := testEnv(t, NameVorpal)
-	m, _ := New(NameVorpal, env)
+	m, _ := newDriven(NameVorpal, env)
 	done := false
 	var chain func(i int)
 	chain = func(i int) {
@@ -422,8 +472,8 @@ func TestVorpalBroadcastProgress(t *testing.T) {
 func TestStrandWeaverConcurrentStrands(t *testing.T) {
 	run := func(strands bool) sim.Cycles {
 		env, eng := testEnv(t, NameStrandWeaver)
-		m, _ := New(NameStrandWeaver, env)
-		sw := m.(*StrandWeaver)
+		m, _ := newDriven(NameStrandWeaver, env)
+		sw := m.Model.(*StrandWeaver)
 		done := false
 		var chain func(i int)
 		chain = func(i int) {
@@ -457,7 +507,7 @@ func TestStrandWeaverConcurrentStrands(t *testing.T) {
 // strands conservatively.
 func TestStrandWeaverDependency(t *testing.T) {
 	env, eng := testEnv(t, NameStrandWeaver)
-	m, _ := New(NameStrandWeaver, env)
+	m, _ := newDriven(NameStrandWeaver, env)
 	done := false
 	m.Store(0, 100, 1, func() {
 		m.Release(0, 500, func() {

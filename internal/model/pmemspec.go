@@ -42,8 +42,6 @@ type specCore struct {
 
 	committedTS  uint64
 	recoverUntil sim.Cycles
-	// delayed is the resume callback parked until recoverUntil.
-	delayed func()
 
 	dfence dfenceWaiter
 }
@@ -72,10 +70,7 @@ func (m *PMEMSpec) RunEvent(kind int, arg uint64) {
 	if kind != specEvResume {
 		panic("pmem_spec: unknown event kind")
 	}
-	c := m.cores[arg]
-	done := c.delayed
-	c.delayed = nil
-	done() //asaplint:ignore alloccheck resumes a core held by software recovery (misspeculation only)
+	m.env.Resume.Resume(int(arg))
 }
 
 // FlushReply receives a controller's answer for one flush; arg packs the
@@ -107,20 +102,19 @@ func (m *PMEMSpec) EpochCommitted(e persist.EpochID) bool {
 	return m.cores[e.Thread].committedTS >= e.TS
 }
 
-// delay defers done until any pending software recovery completes.
-func (m *PMEMSpec) delay(c *specCore, done func()) {
+// delay resumes the core once any pending software recovery completes.
+func (m *PMEMSpec) delay(c *specCore) {
 	if now := m.env.Eng.Now(); now < c.recoverUntil {
-		c.delayed = done
 		m.env.Eng.ScheduleOp(c.recoverUntil, m, specEvResume, uint64(c.id))
 		return
 	}
-	done() //asaplint:ignore alloccheck done is the core's resume callback, built once at machine construction
+	m.env.Resume.Resume(c.id)
 }
 
 // Store flushes immediately — fire and forget. The core pays no ordering
 // stall; mis-speculation is detected when an older epoch still has traffic
 // in flight to a different controller.
-func (m *PMEMSpec) Store(core int, line mem.Line, token mem.Token, done func()) {
+func (m *PMEMSpec) Store(core int, line mem.Line, token mem.Token) {
 	c := m.cores[core]
 	ts := c.ts
 	m.env.Ledger.RecordWrite(persist.EpochID{Thread: core, TS: ts}, line, token)
@@ -159,7 +153,7 @@ func (m *PMEMSpec) Store(core int, line mem.Line, token mem.Token, done func()) 
 	}
 	pkt := persist.FlushPacket{Line: line, Token: token, Epoch: persist.EpochID{Thread: core, TS: ts}}
 	m.env.MCs[mcID].SendFlushOp(pkt, m, ts<<16|uint64(mcID)<<8|uint64(core), false)
-	m.delay(c, done)
+	m.delay(c)
 }
 
 // retire advances committedTS over fully-acknowledged epochs.
@@ -177,10 +171,10 @@ func (m *PMEMSpec) retire(c *specCore) {
 		c.committedTS = next
 		m.env.Ledger.EpochCommitted(persist.EpochID{Thread: c.id, TS: next})
 	}
-	if w := c.dfence; w.done != nil && m.drained(c) {
+	if w := c.dfence; w.parked && m.drained(c) {
 		c.dfence = dfenceWaiter{}
 		m.hc.dfenceStalled.Add(uint64(m.env.Eng.Now() - w.began))
-		m.delay(c, w.done)
+		m.delay(c)
 	}
 }
 
@@ -195,39 +189,37 @@ func (m *PMEMSpec) drained(c *specCore) bool {
 }
 
 // Ofence only advances the epoch counter — no stall, that is the point.
-func (m *PMEMSpec) Ofence(core int, done func()) {
+func (m *PMEMSpec) Ofence(core int) {
 	c := m.cores[core]
 	c.ts++
 	m.retireClosed(c)
-	m.delay(c, done)
+	m.delay(c)
 }
 
 // retireClosed lets retire consider the epoch just closed by a fence.
 func (m *PMEMSpec) retireClosed(c *specCore) { m.retire(c) }
 
 // Dfence waits until every issued flush is acknowledged (durability).
-func (m *PMEMSpec) Dfence(core int, done func()) {
+func (m *PMEMSpec) Dfence(core int) {
 	c := m.cores[core]
 	c.ts++
 	m.retire(c)
 	if m.drained(c) {
-		m.delay(c, done)
+		m.delay(c)
 		return
 	}
-	c.dfence.park(done, m.env.Eng.Now())
+	c.dfence.park(m.env.Eng.Now())
 }
 
 // Release behaves like an ofence (flushes are already in flight).
-func (m *PMEMSpec) Release(core int, line mem.Line, done func()) {
-	m.Ofence(core, done)
-}
+func (m *PMEMSpec) Release(core int, line mem.Line) { m.Ofence(core) }
 
 // Acquire and Conflict: PMEM-Spec tracks no dependencies in hardware.
 func (m *PMEMSpec) Acquire(core int, line mem.Line)       {}
 func (m *PMEMSpec) Conflict(core int, cf *cache.Conflict) {}
 
 // StartDrain gives end-of-trace dfence semantics.
-func (m *PMEMSpec) StartDrain(core int, done func()) { m.Dfence(core, done) }
+func (m *PMEMSpec) StartDrain(core int) { m.Dfence(core) }
 
 // PBOccupancy and PBBlocked: no persist buffer.
 func (m *PMEMSpec) PBOccupancy(core int) int { return 0 }

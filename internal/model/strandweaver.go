@@ -169,16 +169,15 @@ func (m *StrandWeaver) CurrentTS(core int) uint64 { return m.cores[core].open().
 func (m *StrandWeaver) EpochCommitted(e persist.EpochID) bool { return m.committed[e] }
 
 // Store buffers the write in the active strand's open epoch.
-func (m *StrandWeaver) Store(core int, line mem.Line, token mem.Token, done func()) {
-	c := m.cores[core]
-	m.tryEnqueue(c, line, token, done)
+func (m *StrandWeaver) Store(core int, line mem.Line, token mem.Token) {
+	m.tryEnqueue(m.cores[core], line, token)
 }
 
-func (m *StrandWeaver) tryEnqueue(c *swCore, line mem.Line, token mem.Token, done func()) {
+func (m *StrandWeaver) tryEnqueue(c *swCore, line mem.Line, token mem.Token) {
 	e := c.open()
 	coalesced, ok := c.pb.Enqueue(line, token, e.ts)
 	if !ok {
-		c.store.park(line, token, done, m.env.Eng.Now())
+		c.store.park(line, token, m.env.Eng.Now())
 		m.kickFlusher(c)
 		return
 	}
@@ -190,7 +189,7 @@ func (m *StrandWeaver) tryEnqueue(c *swCore, line mem.Line, token mem.Token, don
 	}
 	m.env.Ledger.RecordWrite(persist.EpochID{Thread: c.id, TS: e.ts}, line, token)
 	m.kickFlusher(c)
-	done() //asaplint:ignore alloccheck done is the core's resume callback, built once at machine construction
+	m.env.Resume.Resume(c.id)
 }
 
 // closeOpen closes the open epoch of strand s and opens its successor.
@@ -206,25 +205,25 @@ func (m *StrandWeaver) closeOpen(c *swCore, s *swStrand) {
 }
 
 // Ofence is a strand-local persist barrier.
-func (m *StrandWeaver) Ofence(core int, done func()) {
+func (m *StrandWeaver) Ofence(core int) {
 	c := m.cores[core]
 	m.closeOpen(c, c.strands[c.cur])
 	m.tryCommitAll(c)
-	done() //asaplint:ignore alloccheck done is the core's resume callback, built once at machine construction
+	m.env.Resume.Resume(core)
 }
 
 // Dfence waits until every strand has drained.
-func (m *StrandWeaver) Dfence(core int, done func()) {
+func (m *StrandWeaver) Dfence(core int) {
 	c := m.cores[core]
 	for _, s := range c.strands {
 		m.closeOpen(c, s)
 	}
 	m.tryCommitAll(c)
 	if m.drained(c) {
-		done() //asaplint:ignore alloccheck done is the core's resume callback, built once at machine construction
+		m.env.Resume.Resume(core)
 		return
 	}
-	c.dfence.park(done, m.env.Eng.Now())
+	c.dfence.park(m.env.Eng.Now())
 	m.kickFlusher(c)
 }
 
@@ -241,11 +240,11 @@ func (m *StrandWeaver) drained(c *swCore) bool {
 }
 
 // Release closes the active strand's epoch (one-sided barrier).
-func (m *StrandWeaver) Release(core int, line mem.Line, done func()) {
+func (m *StrandWeaver) Release(core int, line mem.Line) {
 	c := m.cores[core]
 	m.closeOpen(c, c.strands[c.cur])
 	m.tryCommitAll(c)
-	done()
+	m.env.Resume.Resume(core)
 }
 
 // Acquire needs no direct action; Conflict carries the dependency.
@@ -292,7 +291,7 @@ func mustStrand(c *swCore, ts uint64) *swStrand {
 }
 
 // StartDrain gives end-of-trace dfence semantics.
-func (m *StrandWeaver) StartDrain(core int, done func()) { m.Dfence(core, done) }
+func (m *StrandWeaver) StartDrain(core int) { m.Dfence(core) }
 
 // PBOccupancy, PBBlocked, PBHasLine feed the sampler and WBB.
 func (m *StrandWeaver) PBOccupancy(core int) int { return m.cores[core].pb.Len() }
@@ -416,8 +415,8 @@ func (m *StrandWeaver) tryCommitAll(c *swCore) {
 		}
 	}
 
-	if c.dfence.done != nil && m.drained(c) {
-		c.dfence.finish(&m.hc, m.env.Eng.Now())
+	if c.dfence.parked && m.drained(c) {
+		c.dfence.finish(&m.env, c.id, &m.hc)
 	}
 	m.kickFlusher(c)
 }

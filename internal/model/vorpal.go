@@ -132,58 +132,58 @@ func (m *Vorpal) EpochCommitted(e persist.EpochID) bool {
 
 // Store enqueues into the persist buffer; flushing is eager (the delaying
 // happens controller-side).
-func (m *Vorpal) Store(core int, line mem.Line, token mem.Token, done func()) {
+func (m *Vorpal) Store(core int, line mem.Line, token mem.Token) {
 	c := m.cores[core]
 	if !c.enqueue(&m.env, &m.hc, line, token) {
-		c.store.park(line, token, done, m.env.Eng.Now())
+		c.store.park(line, token, m.env.Eng.Now())
 		m.kickFlusher(c)
 		return
 	}
 	m.hc.vorpalTagBytes.Add(uint64(m.env.Cfg.Cores * 2)) // vector timestamp per store
 	m.kickFlusher(c)
-	done() //asaplint:ignore alloccheck done is the core's resume callback, built once at machine construction
+	m.env.Resume.Resume(core)
 }
 
 // Ofence closes the epoch.
-func (m *Vorpal) Ofence(core int, done func()) {
+func (m *Vorpal) Ofence(core int) {
 	c := m.cores[core]
 	if c.et.Full() {
-		c.fence = fenceWaiter{done: done, began: m.env.Eng.Now()}
+		c.fence = fenceWaiter{parked: true, began: m.env.Eng.Now()}
 		return
 	}
 	closed := c.et.CurrentTS()
 	c.et.Advance()
 	m.tryRetire(c, closed)
-	done() //asaplint:ignore alloccheck done is the core's resume callback, built once at machine construction
+	m.env.Resume.Resume(core)
 }
 
 // Dfence waits for everything to persist at the controllers.
-func (m *Vorpal) Dfence(core int, done func()) {
+func (m *Vorpal) Dfence(core int) {
 	c := m.cores[core]
 	if c.et.Full() {
-		c.fence = fenceWaiter{done: done, began: m.env.Eng.Now(), dfence: true}
+		c.fence = fenceWaiter{parked: true, began: m.env.Eng.Now(), dfence: true}
 		return
 	}
 	closed := c.et.CurrentTS()
 	c.et.Advance()
 	m.tryRetire(c, closed)
 	if c.et.AllCommitted() {
-		done() //asaplint:ignore alloccheck done is the core's resume callback, built once at machine construction
+		m.env.Resume.Resume(core)
 		return
 	}
-	c.dfence.park(done, m.env.Eng.Now())
+	c.dfence.park(m.env.Eng.Now())
 	m.kickFlusher(c)
 }
 
 // Release closes the epoch (release persistency).
-func (m *Vorpal) Release(core int, line mem.Line, done func()) {
+func (m *Vorpal) Release(core int, line mem.Line) {
 	c := m.cores[core]
 	if !c.et.Full() {
 		relTS := c.et.CurrentTS()
 		c.et.Advance()
 		m.tryRetire(c, relTS)
 	}
-	done()
+	m.env.Resume.Resume(core)
 }
 
 // Acquire needs no direct action.
@@ -221,7 +221,7 @@ func (m *Vorpal) Conflict(core int, cf *cache.Conflict) {
 }
 
 // StartDrain gives end-of-trace dfence semantics.
-func (m *Vorpal) StartDrain(core int, done func()) { m.Dfence(core, done) }
+func (m *Vorpal) StartDrain(core int) { m.Dfence(core) }
 
 // PBOccupancy, PBBlocked, PBHasLine feed the sampler and WBB.
 func (m *Vorpal) PBOccupancy(core int) int { return m.cores[core].pb.Len() }
@@ -331,7 +331,7 @@ func (m *Vorpal) tryRetire(c *bufCPU, ts uint64) {
 	m.env.Ledger.EpochCommitted(persist.EpochID{Thread: c.id, TS: ts})
 	c.et.Retire(ts)
 	m.tryRetire(c, ts+1)
-	c.wakeFences(m, &m.hc, m.env.Eng.Now())
+	c.wakeFences(m, &m.env, &m.hc)
 }
 
 // ensureBroadcast starts the periodic inter-controller clock exchange.

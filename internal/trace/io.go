@@ -22,6 +22,11 @@ import (
 
 const traceMagic = "ASAPTRC1"
 
+// maxOpPrealloc caps the ops reserved from a thread's header count before
+// any is decoded: the count comes from outside bytes, so a longer stream
+// grows as its ops actually arrive.
+const maxOpPrealloc = 1 << 12
+
 // Write serializes the trace.
 func (t *Trace) Write(w io.Writer) error {
 	bw := bufio.NewWriter(w)
@@ -104,7 +109,7 @@ func Read(r io.Reader) (*Trace, error) {
 		if nOps > 1<<28 {
 			return nil, fmt.Errorf("trace: unreasonable op count %d", nOps)
 		}
-		ops := make([]Op, 0, nOps)
+		ops := make([]Op, 0, min(nOps, maxOpPrealloc))
 		for i := uint64(0); i < nOps; i++ {
 			kb, err := br.ReadByte()
 			if err != nil {

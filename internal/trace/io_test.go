@@ -2,6 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -108,4 +111,71 @@ func TestReadRejectsGarbage(t *testing.T) {
 	if _, err := Read(bytes.NewReader(raw)); err == nil {
 		t.Error("corrupted kind accepted")
 	}
+}
+
+// TestReadBoundsHeaderAllocation: a header claiming 2^28 ops followed by
+// no ops must fail without reserving memory for the claimed count.
+func TestReadBoundsHeaderAllocation(t *testing.T) {
+	in := []byte(traceMagic)
+	in = binary.AppendUvarint(in, 0)     // empty name
+	in = binary.AppendUvarint(in, 1)     // one thread
+	in = binary.AppendUvarint(in, 1<<28) // claimed op count, no ops follow
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, err := Read(bytes.NewReader(in))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("truncated trace accepted")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("Read of a %d-byte input allocated %d bytes", len(in), got)
+	}
+}
+
+// FuzzRead feeds arbitrary bytes to the trace decoder: Read must return an
+// error instead of panicking, and a trace it accepts must survive a
+// Write/Read round trip unchanged.
+func FuzzRead(f *testing.F) {
+	var a, b Builder
+	a.StoreP(0x1000)
+	a.Ofence()
+	a.Compute(500)
+	a.Load(0x2000)
+	a.Dfence()
+	b.Acquire(0x40)
+	b.StoreV(0x3000)
+	b.Release(0x40)
+	b.NewStrand()
+	var buf bytes.Buffer
+	if err := (&Trace{Name: "fuzz", Threads: [][]Op{a.Ops(), b.Ops()}}).Write(&buf); err != nil {
+		f.Fatal(err)
+	}
+	seed := buf.Bytes()
+	f.Add(seed)
+	for _, n := range []int{0, len(traceMagic), len(traceMagic) + 2, len(seed) / 2, len(seed) - 1} {
+		f.Add(seed[:n])
+	}
+	for _, at := range []int{0, len(traceMagic), len(traceMagic) + 1, len(traceMagic) + 6, len(seed) / 2, len(seed) - 1} {
+		flipped := append([]byte(nil), seed...)
+		flipped[at] ^= 0x80
+		f.Add(flipped)
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		tr, err := Read(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := tr.Write(&out); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		back, err := Read(&out)
+		if err != nil {
+			t.Fatalf("re-read of a written trace: %v", err)
+		}
+		if !reflect.DeepEqual(tr, back) {
+			t.Fatalf("round trip changed the trace: %+v != %+v", tr, back)
+		}
+	})
 }
