@@ -120,3 +120,50 @@ func compare(t *testing.T, phase string, want, got runSummary) {
 			phase, want.PMWrites, want.PMReads, got.PMWrites, got.PMReads)
 	}
 }
+
+// TestCaptureWithOverflowPending: a machine captured while an event waits
+// in the engine's overflow heap (scheduled a wheel size or more ahead),
+// with wheel events pending beside it, continues, forks, and saves and
+// loads into runs identical to the uninterrupted one. PMEM-Spec schedules
+// such far events early in every run.
+func TestCaptureWithOverflowPending(t *testing.T) {
+	c := diffCase{wl: "cceh", p: workload.Params{Threads: 2, OpsPerThread: 120, Seed: 7}}
+	oracle := newAt(t, model.NamePMEMSpec, c, 0)
+	want := summarize(oracle, oracle.Run(0))
+
+	m := newAt(t, model.NamePMEMSpec, c, 0)
+	var at uint64
+	for i := uint64(1); i <= 5000 && at == 0; i++ {
+		m.Advance(i)
+		if n := m.Eng.PendingOverflow(); n > 0 && m.Eng.Pending() > n {
+			at = i
+		}
+	}
+	if at == 0 {
+		t.Fatal("no overflow event pending beside wheel events in the first 5000 cycles")
+	}
+	cp, err := Capture(m)
+	if err != nil {
+		t.Fatalf("capture at cycle %d: %v", at, err)
+	}
+	img, err := Save(m)
+	if err != nil {
+		t.Fatalf("save at cycle %d: %v", at, err)
+	}
+	compare(t, "continue", want, summarize(m, m.Run(0)))
+
+	fm := cp.Fork()
+	if fm.Eng.Now() != at || fm.Eng.PendingOverflow() == 0 {
+		t.Fatalf("fork at clock %d with %d overflow events; want %d and some", fm.Eng.Now(), fm.Eng.PendingOverflow(), at)
+	}
+	compare(t, "fork", want, summarize(fm, fm.Run(0)))
+
+	lm, err := Load(img)
+	if err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	if lm.Eng.Now() != at || lm.Eng.PendingOverflow() == 0 {
+		t.Fatalf("load at clock %d with %d overflow events; want %d and some", lm.Eng.Now(), lm.Eng.PendingOverflow(), at)
+	}
+	compare(t, "load", want, summarize(lm, lm.Run(0)))
+}

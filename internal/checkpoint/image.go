@@ -3,7 +3,7 @@ package checkpoint
 // The binary checkpoint image: Save serializes a machine's full state at
 // any cycle — caches and directory, persist buffers, epoch/recovery tables,
 // WPQ and controller rings, model state, trace cursors, and the engine's
-// typed event heap — into a compact, versioned, checksummed byte image;
+// pending events — into a compact, versioned, checksummed byte image;
 // Load rebuilds a machine that continues byte-identically.
 //
 // The format leans on the same property the in-memory Fork does:

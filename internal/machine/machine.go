@@ -67,12 +67,13 @@ type Machine struct {
 	tokenSeq mem.Token
 	finished int
 
-	// Pre-resolved stat handles for the per-access and lock paths.
+	// Pre-resolved stat handles for the per-access, lock and sampler paths.
 	cWbbParked, cWbbFullStalls     stats.Counter
 	cLLCEvictionsDelayed           stats.Counter
 	cPMLinesDropped                stats.Counter
 	cLockContended                 stats.Counter
 	cCyclesBlocked, cSampledCycles stats.Counter
+	dPBOccupancy, dRTOccupancy     stats.DistHandle
 
 	crashAt sim.Cycles
 	Crashed bool
@@ -179,6 +180,8 @@ func build(cfg config.Config, modelName string, tr *trace.Trace, lg *Ledger) (*M
 		cLockContended:       st.Counter(kLockContended),
 		cCyclesBlocked:       st.Counter(kCyclesBlocked),
 		cSampledCycles:       st.Counter(kCoreSampledCycles),
+		dPBOccupancy:         st.DistHandle(kPBOccupancy),
+		dRTOccupancy:         st.DistHandle(kRTOccupancy),
 	}
 	m.tr = tr
 	spec := model.Speculative(modelName)
@@ -756,7 +759,7 @@ func (m *Machine) sample() {
 		if c.done {
 			continue
 		}
-		m.St.Observe("pbOccupancy", uint64(m.Model.PBOccupancy(c.id)))
+		m.dPBOccupancy.Observe(uint64(m.Model.PBOccupancy(c.id)))
 		if m.Model.PBBlocked(c.id) {
 			m.cCyclesBlocked.Add(uint64(SampleInterval))
 		}
@@ -770,7 +773,7 @@ func (m *Machine) sample() {
 	}
 	for _, mc := range m.MCs {
 		if mc.RT != nil {
-			m.St.Observe("rtOccupancy", uint64(mc.RT.Occupancy()))
+			m.dRTOccupancy.Observe(uint64(mc.RT.Occupancy()))
 		}
 	}
 	// Lazily release parked write-back-buffer evictions whose persist

@@ -10,21 +10,22 @@ import (
 )
 
 // mcJob is one unit of controller work: an incoming flush or a commit
-// message from an epoch table.
+// message from an epoch table. Jobs are copied through the controller's
+// FIFOs by value, so the layout is kept small (72 bytes, pinned by
+// TestMCJobSize): a commit carries its epoch in pkt.Epoch, and the one
+// reply target serves both kinds.
 type mcJob struct {
-	isCommit bool
-
-	// flush fields: the reply goes to replier with replyArg verbatim.
-	pkt      FlushPacket
-	replier  FlushReplier
+	// pkt is the flush packet; a commit uses only pkt.Epoch.
+	pkt FlushPacket
+	// replyArg is a flush's caller value, returned verbatim with the reply.
 	replyArg uint64
+	// to receives the reply: a FlushReplier for a flush, the CommitAcker
+	// for a commit.
+	to     any
+	commit bool
 	// retried marks a NACK-retried flush in transit (SendFlushOp): its
 	// arrival lifts the line's Bloom reservation.
 	retried bool
-
-	// commit fields.
-	epoch       EpochID
-	commitAcker CommitAcker
 }
 
 // CommitAcker receives the controller's commit ACK for an epoch sent via
@@ -178,7 +179,7 @@ func (mc *MC) AttachTracer(tr obs.Tracer) {
 //
 //asap:hot flush issue: every persist-buffer drain goes through here
 func (mc *MC) SendFlushOp(pkt FlushPacket, rp FlushReplier, arg uint64, retried bool) {
-	mc.flushIn.Push(mcJob{pkt: pkt, replier: rp, replyArg: arg, retried: retried})
+	mc.flushIn.Push(mcJob{pkt: pkt, to: rp, replyArg: arg, retried: retried})
 	mc.eng.AfterOp(mc.cfg.FlushLat, mc, mcEvFlushIn, 0)
 }
 
@@ -187,7 +188,7 @@ func (mc *MC) SendFlushOp(pkt FlushPacket, rp FlushReplier, arg uint64, retried 
 //
 //asap:hot commit issue: every epoch commit goes through here
 func (mc *MC) SendCommit(e EpochID, acker CommitAcker) {
-	mc.commitIn.Push(mcJob{isCommit: true, epoch: e, commitAcker: acker})
+	mc.commitIn.Push(mcJob{pkt: FlushPacket{Epoch: e}, to: acker, commit: true})
 	mc.eng.AfterOp(mc.cfg.MsgLat, mc, mcEvCommitIn, 0)
 }
 
@@ -196,7 +197,7 @@ func (mc *MC) SendCommit(e EpochID, acker CommitAcker) {
 // hands them over here. The ACK/NACK comes back through
 // rp.FlushReply(arg, res) after the on-chip message latency.
 func (mc *MC) ReceiveOp(pkt FlushPacket, rp FlushReplier, arg uint64) {
-	mc.enqueueFlush(mcJob{pkt: pkt, replier: rp, replyArg: arg})
+	mc.enqueueFlush(mcJob{pkt: pkt, to: rp, replyArg: arg})
 }
 
 func (mc *MC) enqueueFlush(j mcJob) {
@@ -236,7 +237,7 @@ func (mc *MC) RunEvent(kind int, arg uint64) {
 		if mc.trc != nil {
 			mc.trc.Begin(mc.track, jobName(mc.cur))
 		}
-		if mc.cur.isCommit {
+		if mc.cur.commit {
 			mc.processCommit()
 		} else {
 			mc.processFlush()
@@ -290,7 +291,7 @@ func (mc *MC) sendReply(r mcReply) {
 // ack ACKs the flush in service and moves on.
 func (mc *MC) ack() {
 	j := &mc.cur
-	mc.sendReply(mcReply{replier: j.replier, arg: j.replyArg, res: FlushAck})
+	mc.sendReply(mcReply{replier: j.to.(FlushReplier), arg: j.replyArg, res: FlushAck})
 	mc.finishJob()
 }
 
@@ -304,7 +305,7 @@ func (mc *MC) nack() {
 	if mc.Bloom != nil {
 		mc.Bloom.Add(j.pkt.Line)
 	}
-	mc.sendReply(mcReply{replier: j.replier, arg: j.replyArg, res: FlushNack})
+	mc.sendReply(mcReply{replier: j.to.(FlushReplier), arg: j.replyArg, res: FlushNack})
 	mc.finishJob()
 }
 
@@ -321,7 +322,7 @@ func (mc *MC) debugFlush(pkt FlushPacket) {
 func (mc *MC) debugCommitDelays() {
 	for _, d := range mc.delays {
 		if d.Line == DebugLine {
-			fmt.Printf("[%d] MC%d commit %v replays delay tok=%d mem=%d\n", mc.eng.Now(), mc.ID, mc.cur.epoch, d.Token, mc.NVM.Peek(d.Line))
+			fmt.Printf("[%d] MC%d commit %v replays delay tok=%d mem=%d\n", mc.eng.Now(), mc.ID, mc.cur.pkt.Epoch, d.Token, mc.NVM.Peek(d.Line))
 		}
 	}
 }
@@ -329,7 +330,7 @@ func (mc *MC) debugCommitDelays() {
 // jobName labels a controller job's service span in the trace.
 func jobName(j mcJob) string {
 	switch {
-	case j.isCommit:
+	case j.commit:
 		return "commit"
 	case j.pkt.Early:
 		return "early flush"
@@ -431,7 +432,7 @@ func (mc *MC) readDone(old mem.Token) {
 // processCommit deletes the epoch's undo records and replays its delay
 // records as freshly arrived flushes (§V-B rules 1 and 2).
 func (mc *MC) processCommit() {
-	mc.delays = mc.RT.Commit(mc.cur.epoch)
+	mc.delays = mc.RT.Commit(mc.cur.pkt.Epoch)
 	mc.delayIdx = 0
 	if DebugLine != 0 {
 		mc.debugCommitDelays() //asaplint:ignore alloccheck test-only diagnostics behind the DebugLine gate, never on a measured run
@@ -449,7 +450,7 @@ func (mc *MC) commitNext() {
 				mc.RT.RecycleDelays(mc.delays)
 			}
 			mc.delays = nil
-			mc.sendReply(mcReply{acker: mc.cur.commitAcker, ackEpoch: mc.cur.epoch})
+			mc.sendReply(mcReply{acker: mc.cur.to.(CommitAcker), ackEpoch: mc.cur.pkt.Epoch})
 			mc.finishJob()
 			return
 		}

@@ -59,12 +59,13 @@ func runDifferentialWorkload(s scheduler, seed int64, run func()) []dispatchReco
 	return got
 }
 
-// TestDifferentialDeterminism drives the shipped 4-ary typed heap and the
+// TestDifferentialDeterminism drives the shipped engine and the
 // reference container/heap scheduler with identical randomized workloads
 // across several seeds and requires identical dispatch sequences. This is
-// the determinism pin for the scheduler rewrite: (when, seq) is a total
-// order, so any heap that pops the global minimum must dispatch in exactly
-// this sequence.
+// the determinism pin for the scheduler rewrites: (when, seq) is a total
+// order, so any queue that pops the global minimum must dispatch in
+// exactly this sequence. Delays here stay far below the wheel size;
+// TestWheelEdges covers the overflow heap and wrap-around.
 func TestDifferentialDeterminism(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		seed := seed
@@ -73,7 +74,7 @@ func TestDifferentialDeterminism(t *testing.T) {
 			gotNew := runDifferentialWorkload(eng, seed, func() { eng.Run(0) })
 
 			ref := &refEngine{}
-			gotRef := runDifferentialWorkload(ref, seed, func() { ref.Run() })
+			gotRef := runDifferentialWorkload(ref, seed, func() { ref.Run(0) })
 
 			if len(gotNew) != len(gotRef) {
 				t.Fatalf("dispatch counts differ: engine %d, reference %d", len(gotNew), len(gotRef))
@@ -98,7 +99,7 @@ func TestDifferentialDeterminismStepped(t *testing.T) {
 		}
 	})
 	ref := &refEngine{}
-	gotRef := runDifferentialWorkload(ref, 7, func() { ref.Run() })
+	gotRef := runDifferentialWorkload(ref, 7, func() { ref.Run(0) })
 	if len(gotNew) != len(gotRef) {
 		t.Fatalf("dispatch counts differ: engine %d, reference %d", len(gotNew), len(gotRef))
 	}

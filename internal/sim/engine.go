@@ -4,7 +4,10 @@
 // ASAP paper.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Cycles is the simulation time unit: one cycle of the 2 GHz core clock.
 type Cycles = uint64
@@ -25,16 +28,17 @@ type EventOp interface {
 	RunEvent(kind int, arg uint64)
 }
 
-// event is a scheduled callback. seq breaks ties deterministically so that
-// two events scheduled for the same cycle fire in schedule order.
+// event is one overflow-heap entry: a callback scheduled at least
+// wheelSize cycles ahead of the clock when it was scheduled. seq breaks
+// ties deterministically so that two events for the same cycle fire in
+// schedule order.
 //
-// The struct is deliberately pointer-free: the heap permutes events
-// constantly (every push and pop moves several), and if the element held an
-// interface directly, every one of those moves would run a GC write
-// barrier — measured at a double-digit share of whole-machine time.
-// Instead an event holds opIdx, an index into the engine's registered
-// receiver table. A 32-byte pointer-free element makes heap sifts plain
-// memmoves and packs two events per cache line.
+// The struct is deliberately pointer-free: the heap permutes events on
+// every push and pop, and if the element held an interface directly, every
+// one of those moves would run a GC write barrier. Instead an event holds
+// opIdx, an index into the engine's registered receiver table. A 32-byte
+// pointer-free element makes heap sifts plain memmoves and packs two
+// events per cache line.
 type event struct {
 	when  Cycles
 	seq   uint64
@@ -43,32 +47,78 @@ type event struct {
 	opIdx int32 // index into Engine.ops
 }
 
+// slot is one entry of the wheel's event slab. A pending slot sits in the
+// FIFO of bucket when&wheelMask; a dispatched slot sits on the free list.
+// next links either list by slab index, with 0 (the reserved sentinel
+// slot) ending it. Like event it is pointer-free and 32 bytes. It needs no
+// seq: a bucket's FIFO order is its schedule order (see Engine).
+type slot struct {
+	when  Cycles
+	arg   uint64
+	kind  int32
+	opIdx int32
+	next  int32
+}
+
+// bucket is one wheel bucket: the FIFO of slots pending at one cycle.
+// tail is meaningful only while head is non-zero.
+type bucket struct{ head, tail int32 }
+
+// The timing wheel: wheelSize one-cycle buckets indexed by when&wheelMask.
+const (
+	wheelBits  = 10
+	wheelSize  = 1 << wheelBits
+	wheelMask  = wheelSize - 1
+	wheelWords = wheelSize / 64 // occupancy bitmap words
+)
+
 // Engine is a single-threaded discrete-event simulator. Components schedule
-// callbacks at future cycles; Run dispatches them in time order. Engine is
-// not safe for concurrent use: the whole simulated machine runs on one
-// goroutine, which keeps the model deterministic.
+// callbacks at future cycles; Run dispatches them in (when, seq) order,
+// where seq numbers events in schedule order. Engine is not safe for
+// concurrent use: the whole simulated machine runs on one goroutine, which
+// keeps the model deterministic.
 //
-// The pending-event queue is an inlined 4-ary min-heap over a typed event
-// slice, ordered by (when, seq). Compared to container/heap's binary heap
-// of interface{} values this removes the per-event boxing allocation, the
-// Push/Pop interface-call overhead, and (being 4-ary) roughly halves the
-// sift-down depth, trading it for cheaper, cache-resident sibling scans.
-// Because (when, seq) is a total order, dispatch order is independent of
-// heap shape: every pop removes the unique global minimum, so this heap
-// dispatches byte-identically to the container/heap implementation it
-// replaced (pinned by TestDifferentialDeterminism).
+// Pending events live in one of two queues, chosen when they are scheduled:
+//
+//   - The timing wheel holds every event less than wheelSize cycles ahead:
+//     wheelSize one-cycle buckets indexed by when&wheelMask, each an
+//     intrusive FIFO linked through a pointer-free slab of slots with a
+//     free list. Every wheel event lies in [now, now+wheelSize) — it did
+//     when scheduled, and the clock never passes a pending event — so each
+//     bucket holds exactly one cycle's events, and scanning the occupancy
+//     bitmap circularly from the clock's bucket finds the earliest cycle.
+//     Schedule and dispatch are O(1).
+//   - Events wheelSize or more cycles ahead go to the overflow queue, an
+//     inlined 4-ary min-heap ordered by (when, seq). Simulated delays are
+//     short, so it is rarely used.
+//
+// Why the order is still (when, seq): seq grows with schedule time, so a
+// bucket's FIFO order is its seq order. An overflow event can share its
+// cycle with wheel events, but it is always the older one: it was
+// scheduled at a clock at least wheelSize below that cycle, they at a
+// clock above it. So each dispatch takes the earlier of the first
+// bucket's head and the overflow root, preferring the overflow root on a
+// tie. (when, seq) is a total order, so dispatch is byte-identical to the
+// container/heap scheduler the engine once was (pinned by
+// TestDifferentialDeterminism and TestWheelEdges).
 type Engine struct {
 	now        Cycles
 	seq        uint64
-	dispatched uint64  // events dispatched so far (see Dispatched)
-	events     []event // 4-ary min-heap by (when, seq)
+	dispatched uint64 // events dispatched so far (see Dispatched)
 	halted     bool
 	onDispatch func(when Cycles)
 
+	wheel    [wheelSize]bucket
+	occupied [wheelWords]uint64 // bit b set: wheel[b] is non-empty
+	slab     []slot             // slab[0] is the list sentinel, never used
+	free     int32              // head of the free slot list
+	inWheel  int                // events pending in the wheel
+	overflow []event            // 4-ary min-heap by (when, seq)
+
 	// ops holds the typed-event receivers ever scheduled on this engine,
-	// deduplicated by identity; events reference them by index so the
-	// heap elements stay pointer-free. A machine registers only a handful
-	// of receivers (machine, model, controllers), so the lookup in
+	// deduplicated by identity; events reference them by index so queue
+	// entries stay pointer-free. A machine registers only a handful of
+	// receivers (machine, model, controllers), so the lookup in
 	// ScheduleOp is a short pointer-compare scan.
 	ops []EventOp
 }
@@ -88,8 +138,48 @@ func (e *Engine) ScheduleOp(when Cycles, op EventOp, kind int, arg uint64) {
 	if when < e.now {
 		panic("sim: event scheduled in the past")
 	}
-	e.push(event{when: when, seq: e.seq, opIdx: e.opIndex(op), kind: int32(kind), arg: arg})
+	opIdx := e.opIndex(op)
+	if when-e.now >= wheelSize {
+		e.pushOverflow(when, opIdx, int32(kind), arg)
+		e.seq++
+		return
+	}
+	// Take a slot and fill it in place: building a slot value and
+	// copying it in costs a store-forwarding stall per event.
+	i := e.free
+	if i != 0 {
+		e.free = e.slab[i].next
+	} else {
+		if len(e.slab) == 0 {
+			e.slab = grow(e.slab) // the sentinel
+		}
+		e.slab = grow(e.slab)
+		i = int32(len(e.slab) - 1)
+	}
+	s := &e.slab[i]
+	s.when = when
+	s.arg = arg
+	s.kind = int32(kind)
+	s.opIdx = opIdx
+	s.next = 0
+	b := &e.wheel[when&wheelMask]
+	if b.head == 0 {
+		b.head = i
+		e.occupied[(when&wheelMask)>>6] |= 1 << (when & 63)
+	} else {
+		e.slab[b.tail].next = i
+	}
+	b.tail = i
+	e.inWheel++
 	e.seq++
+}
+
+// grow extends s by one zero element. It is the one growth point of the
+// engine's queue storage (wheel slab and overflow heap), so the steady
+// state reuses capacity and allocates nothing.
+func grow[T any](s []T) []T {
+	var zero T
+	return append(s, zero) //asaplint:ignore alloccheck queue storage reaches steady-state capacity, then appends reuse it
 }
 
 // opIndex returns op's slot in the receiver table, registering it on first
@@ -111,7 +201,13 @@ func (e *Engine) AfterOp(delay Cycles, op EventOp, kind int, arg uint64) {
 }
 
 // Pending reports the number of scheduled events not yet dispatched.
-func (e *Engine) Pending() int { return len(e.events) }
+func (e *Engine) Pending() int { return e.inWheel + len(e.overflow) }
+
+// PendingOverflow reports how many pending events wait in the overflow
+// heap rather than the timing wheel: those scheduled wheelSize or more
+// cycles ahead of the clock at the time. Tests use it to build states
+// that exercise both queues.
+func (e *Engine) PendingOverflow() int { return len(e.overflow) }
 
 // Dispatched reports the number of events dispatched since construction.
 // The machine's periodic sampler publishes it as a progress metric; unlike
@@ -133,14 +229,21 @@ func (e *Engine) Halted() bool { return e.halted }
 
 // Run dispatches events in time order until the queue drains, Halt is
 // called, or the clock would pass limit (limit 0 means no limit). It returns
-// the cycle at which it stopped.
+// the cycle at which it stopped. Stopping at the limit moves the clock to
+// it, never backwards: a limit below the clock dispatches nothing.
 func (e *Engine) Run(limit Cycles) Cycles {
-	for len(e.events) > 0 && !e.halted {
-		if limit != 0 && e.events[0].when > limit {
-			e.now = limit
+	for !e.halted {
+		when, b, ok := e.front()
+		if !ok {
+			break
+		}
+		if limit != 0 && when > limit {
+			if limit > e.now {
+				e.now = limit
+			}
 			return e.now
 		}
-		e.dispatch()
+		e.dispatch(b)
 	}
 	return e.now
 }
@@ -153,8 +256,12 @@ func (e *Engine) Run(limit Cycles) Cycles {
 // after RunUntil(c) always observes the state the machine has at cycle c,
 // with every pre-c event retired.
 func (e *Engine) RunUntil(limit Cycles) Cycles {
-	for len(e.events) > 0 && !e.halted && e.events[0].when <= limit {
-		e.dispatch()
+	for !e.halted {
+		when, b, ok := e.front()
+		if !ok || when > limit {
+			break
+		}
+		e.dispatch(b)
 	}
 	if !e.halted && e.now < limit {
 		e.now = limit
@@ -167,10 +274,15 @@ func (e *Engine) RunUntil(limit Cycles) Cycles {
 // before the crash cycle has fired" (RunUntil(when-1)) and "no event at the
 // crash cycle has" — the same machine state the scheduled-crash event used
 // to observe, since it carried sequence number zero and preempted all
-// same-cycle work. Jumping backwards panics like scheduling in the past.
+// same-cycle work. Jumping backwards panics like scheduling in the past,
+// and so does jumping past a pending event, which would have to fire in
+// the past.
 func (e *Engine) JumpTo(when Cycles) {
 	if when < e.now {
 		panic("sim: clock jump into the past")
+	}
+	if next, _, ok := e.front(); ok && next < when {
+		panic("sim: clock jump past a pending event")
 	}
 	e.now = when
 }
@@ -178,7 +290,7 @@ func (e *Engine) JumpTo(when Cycles) {
 // RegisterOp pre-registers a typed-event receiver, fixing its slot in the
 // receiver table at construction time instead of first-schedule time. The
 // slot index never influences dispatch order — (when, seq) does — but a
-// checkpoint image stores heap events by receiver index, so machines
+// checkpoint image stores pending events by receiver index, so machines
 // register their receivers in one canonical construction order to make the
 // table reproducible between the machine that saved an image and the fresh
 // machine that restores it.
@@ -196,54 +308,129 @@ func (e *Engine) Quiesce() error {
 
 // Step dispatches exactly one event if available and reports whether it did.
 func (e *Engine) Step() bool {
-	if len(e.events) == 0 || e.halted {
+	if e.halted {
 		return false
 	}
-	e.dispatch()
+	_, b, ok := e.front()
+	if !ok {
+		return false
+	}
+	e.dispatch(b)
 	return true
 }
 
-// dispatch pops the minimum event, advances the clock, and runs the
-// callback. It is the single dispatch path shared by Run and Step.
+// front locates the next event to dispatch: its cycle, and the wheel
+// bucket holding it, or -1 when it is the overflow root. ok is false when
+// nothing is pending. On a tie the overflow root wins: it is the older
+// event (see Engine).
 //
-//asap:hot the event loop: every simulated cycle of work funnels through here
-func (e *Engine) dispatch() {
-	next := e.events[0]
-	e.popMin()
-	e.now = next.when
-	e.dispatched++
-	if e.onDispatch != nil {
-		e.onDispatch(next.when) //asaplint:ignore alloccheck nil-guarded observability hook; off on measured runs
+//asap:hot the event loop finds every dispatched event through here
+func (e *Engine) front() (when Cycles, b int, ok bool) {
+	if e.inWheel > 0 {
+		b = e.nextBucket()
+		when = e.now + Cycles(b-int(e.now&wheelMask))&wheelMask
+		if len(e.overflow) == 0 || when < e.overflow[0].when {
+			return when, b, true
+		}
 	}
-	e.ops[next.opIdx].RunEvent(int(next.kind), next.arg)
+	if len(e.overflow) > 0 {
+		return e.overflow[0].when, -1, true
+	}
+	return 0, 0, false
 }
 
-// less orders heap slots by (when, seq).
+// nextBucket returns the first occupied bucket at or after the clock's,
+// wrapping around the wheel. The wheel must not be empty. Because every
+// wheel event lies in [now, now+wheelSize), circular bucket order from
+// the clock's bucket is time order; the last word visited is the starting
+// word again, whose bits below the start are the wrapped-around cycles.
+func (e *Engine) nextBucket() int {
+	start := int(e.now & wheelMask)
+	w := start >> 6
+	if m := e.occupied[w] >> (start & 63); m != 0 {
+		return start + bits.TrailingZeros64(m)
+	}
+	for n := 1; n <= wheelWords; n++ {
+		w = (w + 1) & (wheelWords - 1)
+		if m := e.occupied[w]; m != 0 {
+			return w<<6 + bits.TrailingZeros64(m)
+		}
+	}
+	panic("sim: wheel count and occupancy bitmap disagree")
+}
+
+// dispatch removes the next event — the head of bucket b, or the overflow
+// root when b is -1 — advances the clock, and runs the callback. It is the
+// single dispatch path shared by Run, RunUntil and Step. The event's
+// fields are read straight out of its slot, which returns to the free list
+// before the callback runs (the callback may schedule into it).
+//
+//asap:hot the event loop: every simulated cycle of work funnels through here
+func (e *Engine) dispatch(b int) {
+	var (
+		when        Cycles
+		arg         uint64
+		kind, opIdx int32
+	)
+	if b >= 0 {
+		bk := &e.wheel[b]
+		i := bk.head
+		s := &e.slab[i]
+		when, arg, kind, opIdx = s.when, s.arg, s.kind, s.opIdx
+		bk.head = s.next
+		if bk.head == 0 {
+			bk.tail = 0
+			e.occupied[b>>6] &^= 1 << (b & 63)
+		}
+		s.next = e.free
+		e.free = i
+		e.inWheel--
+	} else {
+		r := &e.overflow[0]
+		when, arg, kind, opIdx = r.when, r.arg, r.kind, r.opIdx
+		e.popOverflow()
+	}
+	e.now = when
+	e.dispatched++
+	if e.onDispatch != nil {
+		e.onDispatch(when) //asaplint:ignore alloccheck nil-guarded observability hook; off on measured runs
+	}
+	e.ops[opIdx].RunEvent(int(kind), arg)
+}
+
+// less orders overflow heap slots by (when, seq).
 func (e *Engine) less(i, j int) bool {
-	a, b := &e.events[i], &e.events[j]
+	a, b := &e.overflow[i], &e.overflow[j]
 	return a.when < b.when || (a.when == b.when && a.seq < b.seq)
 }
 
-// push appends ev and restores the heap property by sifting it up.
-func (e *Engine) push(ev event) {
-	e.events = append(e.events, ev) //asaplint:ignore alloccheck heap storage reaches steady-state capacity, then appends reuse it
-	i := len(e.events) - 1
+// pushOverflow adds an event to the overflow heap, filling the new tail
+// slot in place and sifting it up.
+func (e *Engine) pushOverflow(when Cycles, opIdx, kind int32, arg uint64) {
+	e.overflow = grow(e.overflow)
+	i := len(e.overflow) - 1
+	ev := &e.overflow[i]
+	ev.when = when
+	ev.seq = e.seq
+	ev.arg = arg
+	ev.kind = kind
+	ev.opIdx = opIdx
 	for i > 0 {
 		parent := (i - 1) / 4
 		if !e.less(i, parent) {
 			break
 		}
-		e.events[i], e.events[parent] = e.events[parent], e.events[i]
+		e.overflow[i], e.overflow[parent] = e.overflow[parent], e.overflow[i]
 		i = parent
 	}
 }
 
-// popMin removes the root. Events are pointer-free, so the vacated tail
-// slot needs no zeroing for the collector's sake.
-func (e *Engine) popMin() {
-	n := len(e.events) - 1
-	e.events[0] = e.events[n]
-	e.events = e.events[:n]
+// popOverflow removes the overflow root. Events are pointer-free, so the
+// vacated tail slot needs no zeroing for the collector's sake.
+func (e *Engine) popOverflow() {
+	n := len(e.overflow) - 1
+	e.overflow[0] = e.overflow[n]
+	e.overflow = e.overflow[:n]
 	if n > 1 {
 		e.siftDown(0)
 	}
@@ -252,7 +439,7 @@ func (e *Engine) popMin() {
 // siftDown restores the heap property below slot i: swap with the smallest
 // of up to four children until neither child is smaller.
 func (e *Engine) siftDown(i int) {
-	n := len(e.events)
+	n := len(e.overflow)
 	for {
 		first := 4*i + 1
 		if first >= n {
@@ -271,7 +458,7 @@ func (e *Engine) siftDown(i int) {
 		if !e.less(min, i) {
 			return
 		}
-		e.events[i], e.events[min] = e.events[min], e.events[i]
+		e.overflow[i], e.overflow[min] = e.overflow[min], e.overflow[i]
 		i = min
 	}
 }

@@ -4,9 +4,10 @@ import "container/heap"
 
 // refEvent and refEngine are a reference implementation of the scheduler
 // built on container/heap, kept test-only: the shipped Engine replaced it
-// with an inlined 4-ary typed heap, and TestDifferentialDeterminism drives
-// both with identical randomized workloads to prove the dispatch order —
-// the only observable the simulator depends on — is unchanged.
+// with a timing wheel over a 4-ary overflow heap, and the differential
+// tests drive both with identical randomized workloads to prove the
+// dispatch order — the only observable the simulator depends on — is
+// unchanged.
 type refEvent struct {
 	when Cycles
 	seq  uint64
@@ -32,10 +33,12 @@ func (h *refHeap) Pop() interface{} {
 	return e
 }
 
-// refEngine mirrors Engine's scheduling semantics over the reference heap.
+// refEngine mirrors Engine's scheduling semantics over the reference heap,
+// including every way of stopping a run.
 type refEngine struct {
 	now    Cycles
 	seq    uint64
+	halted bool
 	events refHeap
 }
 
@@ -51,10 +54,50 @@ func (e *refEngine) At(when Cycles, fn func()) {
 
 func (e *refEngine) After(delay Cycles, fn func()) { e.At(e.now+delay, fn) }
 
-func (e *refEngine) Run() {
-	for len(e.events) > 0 {
-		next := heap.Pop(&e.events).(refEvent)
-		e.now = next.when
-		next.fn()
+func (e *refEngine) Pending() int { return len(e.events) }
+
+func (e *refEngine) Halt() { e.halted = true }
+
+func (e *refEngine) dispatch() {
+	next := heap.Pop(&e.events).(refEvent)
+	e.now = next.when
+	next.fn()
+}
+
+func (e *refEngine) Run(limit Cycles) Cycles {
+	for len(e.events) > 0 && !e.halted {
+		if limit != 0 && e.events[0].when > limit {
+			if limit > e.now {
+				e.now = limit
+			}
+			return e.now
+		}
+		e.dispatch()
 	}
+	return e.now
+}
+
+func (e *refEngine) RunUntil(limit Cycles) Cycles {
+	for len(e.events) > 0 && !e.halted && e.events[0].when <= limit {
+		e.dispatch()
+	}
+	if !e.halted && e.now < limit {
+		e.now = limit
+	}
+	return e.now
+}
+
+func (e *refEngine) Step() bool {
+	if len(e.events) == 0 || e.halted {
+		return false
+	}
+	e.dispatch()
+	return true
+}
+
+func (e *refEngine) JumpTo(when Cycles) {
+	if when < e.now || (len(e.events) > 0 && e.events[0].when < when) {
+		panic("refEngine: clock jump into the past or past a pending event")
+	}
+	e.now = when
 }

@@ -108,19 +108,21 @@ func TestTypedEventZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestPopReleasesEventMemory: the heap element holds no pointer, so a
-// dispatched event can keep nothing reachable through the event slice's
-// spare capacity, and heap sifts move plain 32-byte values.
+// TestPopReleasesEventMemory: neither queue element (the overflow heap's
+// event, the wheel slab's slot) holds a pointer, so a dispatched event can
+// keep nothing reachable through spare capacity or the free list, and
+// heap sifts move plain 32-byte values.
 func TestPopReleasesEventMemory(t *testing.T) {
-	typ := reflect.TypeOf(event{})
-	if typ.Size() != 32 {
-		t.Fatalf("event is %d bytes, want 32", typ.Size())
-	}
-	for i := 0; i < typ.NumField(); i++ {
-		switch f := typ.Field(i); f.Type.Kind() {
-		case reflect.Uint64, reflect.Int32:
-		default:
-			t.Fatalf("event field %s has kind %v; events must stay pointer-free", f.Name, f.Type.Kind())
+	for _, typ := range []reflect.Type{reflect.TypeOf(event{}), reflect.TypeOf(slot{})} {
+		if typ.Size() != 32 {
+			t.Fatalf("%s is %d bytes, want 32", typ.Name(), typ.Size())
+		}
+		for i := 0; i < typ.NumField(); i++ {
+			switch f := typ.Field(i); f.Type.Kind() {
+			case reflect.Uint64, reflect.Int32:
+			default:
+				t.Fatalf("%s field %s has kind %v; queue elements must stay pointer-free", typ.Name(), f.Name, f.Type.Kind())
+			}
 		}
 	}
 	e := NewEngine()

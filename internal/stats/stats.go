@@ -230,7 +230,14 @@ func (s *Set) SetMax(name string, v uint64) {
 
 // Observe records sample v in the distribution named name.
 func (s *Set) Observe(name string, v uint64) {
-	if k := keyOf(name); kinds[k] != KindDist {
+	s.dist(keyOf(name)).Observe(v)
+}
+
+// dist returns the distribution registered under k, creating it on first
+// use.
+func (s *Set) dist(k Key) *Dist {
+	name := names[k]
+	if kinds[k] != KindDist {
 		panic(fmt.Sprintf("stats: Observe on %q, which was registered as a counter (use RegisterDist)", name))
 	}
 	d, ok := s.dists[name]
@@ -238,7 +245,36 @@ func (s *Set) Observe(name string, v uint64) {
 		d = &Dist{}
 		s.dists[name] = d
 	}
-	d.Observe(v)
+	return d
+}
+
+// DistHandle is the distribution counterpart of Counter: a pre-resolved
+// handle on one distribution of one Set, so a periodic sampler observes
+// without hashing the name. It binds to the distribution on its first
+// observation, so a set that is never sampled still reports no (empty)
+// distribution. Keep the handle in an addressable field: binding updates
+// it.
+type DistHandle struct {
+	s *Set
+	k Key
+	d *Dist
+}
+
+// DistHandle resolves Key k, which must be registered with RegisterDist,
+// against the set.
+func (s *Set) DistHandle(k Key) DistHandle {
+	if kinds[k] != KindDist {
+		panic(fmt.Sprintf("stats: DistHandle on %q, which was registered as a counter (use RegisterDist)", names[k]))
+	}
+	return DistHandle{s: s, k: k}
+}
+
+// Observe records sample v.
+func (h *DistHandle) Observe(v uint64) {
+	if h.d == nil {
+		h.d = h.s.dist(h.k)
+	}
+	h.d.Observe(v)
 }
 
 // Dist returns the distribution named name, or nil if never observed.

@@ -233,6 +233,29 @@ func TestObserveAndDistLookup(t *testing.T) {
 	}
 }
 
+// TestDistHandle: a handle observes into the same distribution as the
+// string-keyed Observe, binds only on its first sample (an unsampled set
+// prints no empty distribution), and refuses a counter key.
+func TestDistHandle(t *testing.T) {
+	s := New()
+	h := s.DistHandle(RegisterDist("occ", "test counter occ"))
+	if s.Dist("occ") != nil || strings.Contains(s.String(), "occ") {
+		t.Fatal("resolving a handle materialized the distribution")
+	}
+	h.Observe(3)
+	s.Observe("occ", 5)
+	h.Observe(7)
+	if d := s.Dist("occ"); d == nil || d.Count() != 3 || d.Sum() != 15 {
+		t.Fatalf("handle and string observations disagree: %+v", s.Dist("occ"))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("DistHandle on a counter key did not panic")
+		}
+	}()
+	s.DistHandle(Register("a", "test counter a"))
+}
+
 func TestMerge(t *testing.T) {
 	a, b := New(), New()
 	a.Add("x", 3)
